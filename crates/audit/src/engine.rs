@@ -10,10 +10,10 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::parser::{parse_file, PanicKind, ParsedFile};
 use crate::rules::{
     in_r1_scope, in_r4_scope, in_r6_domain, in_r7_scope, in_r8_scope, in_r9_scope, is_r6_entry,
-    suppression_budget, METRIC_FILE, METRIC_IDS, R1_BANNED_IDENTS, REPORT_FILE,
+    suppression_budget, EVENT_FILE, METRIC_FILE, METRIC_IDS, R1_BANNED_IDENTS,
     RULE_BAD_SUPPRESSION, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
     RULE_FORBID_UNSAFE, RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM,
-    RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION, TRACE_COUNTERS, TRACE_FILE,
+    RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,24 +111,14 @@ struct Directive {
     used: usize,
 }
 
-/// Cross-file state for the counter-accounting rule.
+/// Cross-file state for the counter-accounting rule (R3).
 #[derive(Debug, Default)]
 struct CounterState {
-    /// `TraceKind` variants with the line each is declared on.
+    /// `EventKind` variants with the line each is declared on; empty when
+    /// the enum's file was not among the inputs.
     variants: Vec<(String, usize)>,
-    /// Line of the `enum TraceKind` declaration.
-    trace_enum_line: usize,
-    /// Fields of `AsyncReport` and `CommReport` with declaration lines.
-    counter_fields: BTreeMap<String, usize>,
-    /// Line of the `struct AsyncReport` declaration.
-    async_report_line: usize,
-    /// Whether both input files were present.
-    saw_trace: bool,
-    saw_report: bool,
-    /// `TraceKind::X` references seen in non-test code anywhere.
-    emitted: BTreeSet<String>,
-    /// Identifiers referenced in non-test code outside `report.rs`.
-    used_idents: BTreeSet<String>,
+    /// `EventKind::X` passed to a `record(…)` call in non-test code.
+    recorded: BTreeSet<String>,
 }
 
 /// Cross-file state for the metric-accounting rule (R5).
@@ -748,55 +738,56 @@ fn scan_r4(file: &SourceFile, tokens: &[Tok], findings: &mut Vec<Finding>) {
     ));
 }
 
-/// Gathers the R3 inputs from one file.
+/// Gathers the R3 inputs from one file. Only arguments of a `record(…)`
+/// call count: a bank read such as `count(EventKind::X)` proves nothing
+/// about emission.
 fn collect_counter_state(
     file: &SourceFile,
     tokens: &[Tok],
     is_excluded: &dyn Fn(usize) -> bool,
     state: &mut CounterState,
 ) {
-    if file.path == TRACE_FILE {
-        if let Some((line, variants)) = parse_enum(tokens, "TraceKind") {
-            state.saw_trace = true;
-            state.trace_enum_line = line;
+    if file.path == EVENT_FILE {
+        if let Some((_, variants)) = parse_enum(tokens, "EventKind") {
             state.variants = variants;
         }
+        return;
     }
-    if file.path == REPORT_FILE {
-        let mut fields = BTreeMap::new();
-        for name in ["AsyncReport", "CommReport", "FleetReport"] {
-            if let Some((line, parsed)) = parse_struct_fields(tokens, name) {
-                if name == "AsyncReport" {
-                    state.saw_report = true;
-                    state.async_report_line = line;
-                }
-                for (f, l) in parsed {
-                    fields.entry(f).or_insert(l);
-                }
-            }
-        }
-        state.counter_fields = fields;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if is_excluded(t.line) {
-            continue;
-        }
-        if t.is_ident("TraceKind") {
-            if let (Some(a), Some(b), Some(c)) =
-                (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3))
-            {
-                if a.is_punct(':') && b.is_punct(':') {
-                    if let Some(v) = c.ident() {
-                        state.emitted.insert(v.to_string());
+    let mut i = 0;
+    while i + 1 < tokens.len() {
+        if tokens[i].is_ident("record")
+            && tokens[i + 1].is_punct('(')
+            && !is_excluded(tokens[i].line)
+        {
+            let mut depth = 0usize;
+            let mut j = i + 1;
+            while j < tokens.len() {
+                match &tokens[j].kind {
+                    TokKind::Punct('(') => depth += 1,
+                    TokKind::Punct(')') => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
                     }
+                    TokKind::Ident(name) if name == "EventKind" => {
+                        if let (Some(a), Some(b), Some(v)) =
+                            (tokens.get(j + 1), tokens.get(j + 2), tokens.get(j + 3))
+                        {
+                            if a.is_punct(':') && b.is_punct(':') {
+                                if let Some(v) = v.ident() {
+                                    state.recorded.insert(v.to_string());
+                                }
+                            }
+                        }
+                    }
+                    _ => {}
                 }
+                j += 1;
             }
+            i = j;
         }
-        if file.path != REPORT_FILE {
-            if let Some(name) = t.ident() {
-                state.used_idents.insert(name.to_string());
-            }
-        }
+        i += 1;
     }
 }
 
@@ -895,71 +886,15 @@ fn check_metrics(state: &MetricState, findings: &mut Vec<Finding>) {
     }
 }
 
-/// R3: every `TraceKind` variant maps to a report counter, and both sides
-/// are live in non-test code.
+/// R3: every `EventKind` variant is recorded somewhere in non-test code.
 fn check_counters(state: &CounterState, findings: &mut Vec<Finding>) {
-    if !state.saw_trace || !state.saw_report {
-        return;
-    }
-    let mapping: BTreeMap<&str, &str> = TRACE_COUNTERS.iter().copied().collect();
     for (variant, line) in &state.variants {
-        let Some(counter) = mapping.get(variant.as_str()) else {
+        if !state.recorded.contains(variant) {
             findings.push(Finding::new(
-                TRACE_FILE,
+                EVENT_FILE,
                 *line,
                 RULE_COUNTER,
-                format!(
-                    "TraceKind::{variant} has no counter mapping; add a report counter \
-                     and map it in stsl-audit rules.rs TRACE_COUNTERS"
-                ),
-            ));
-            continue;
-        };
-        match state.counter_fields.get(*counter) {
-            None => findings.push(Finding::new(
-                REPORT_FILE,
-                state.async_report_line,
-                RULE_COUNTER,
-                format!(
-                    "TraceKind::{variant} maps to counter `{counter}`, which is missing \
-                     from AsyncReport/CommReport/FleetReport"
-                ),
-            )),
-            Some(field_line) => {
-                if !state.used_idents.contains(*counter) {
-                    findings.push(Finding::new(
-                        REPORT_FILE,
-                        *field_line,
-                        RULE_COUNTER,
-                        format!(
-                            "counter `{counter}` is declared but never referenced \
-                             outside report.rs; TraceKind::{variant} is unaccounted"
-                        ),
-                    ));
-                }
-            }
-        }
-        if !state.emitted.contains(variant) {
-            findings.push(Finding::new(
-                TRACE_FILE,
-                *line,
-                RULE_COUNTER,
-                format!("TraceKind::{variant} is never recorded in non-test code"),
-            ));
-        }
-    }
-    // Stale table entries point at variants that no longer exist.
-    let variant_names: BTreeSet<&str> = state.variants.iter().map(|(v, _)| v.as_str()).collect();
-    for (variant, _) in &TRACE_COUNTERS {
-        if !variant_names.contains(variant) {
-            findings.push(Finding::new(
-                TRACE_FILE,
-                state.trace_enum_line,
-                RULE_COUNTER,
-                format!(
-                    "stsl-audit TRACE_COUNTERS maps `{variant}`, which is not a \
-                     TraceKind variant; remove the stale table entry"
-                ),
+                format!("EventKind::{variant} is never recorded in non-test code"),
             ));
         }
     }
@@ -988,35 +923,6 @@ fn parse_enum(tokens: &[Tok], name: &str) -> Option<(usize, Vec<(String, usize)>
         i += 1;
     }
     Some((tokens[start].line, variants))
-}
-
-/// Finds `struct <name> {…}` and returns its line plus `(field, line)`s.
-fn parse_struct_fields(tokens: &[Tok], name: &str) -> Option<(usize, Vec<(String, usize)>)> {
-    let start = find_item(tokens, "struct", name)?;
-    let open = (start..tokens.len()).find(|&i| tokens[i].is_punct('{'))?;
-    let mut fields = Vec::new();
-    let mut depth = 1usize;
-    let mut i = open + 1;
-    while i < tokens.len() && depth > 0 {
-        let t = &tokens[i];
-        match &t.kind {
-            TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Ident(f) if depth == 1 && f != "pub" => {
-                // A field is `ident :` not followed by another `:` (which
-                // would make it a path segment) and not preceded by one.
-                let next_colon = matches!(tokens.get(i + 1), Some(n) if n.is_punct(':'));
-                let double = matches!(tokens.get(i + 2), Some(n) if n.is_punct(':'));
-                let prev_colon = i > 0 && tokens[i - 1].is_punct(':');
-                if next_colon && !double && !prev_colon {
-                    fields.push((f.clone(), t.line));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((tokens[start].line, fields))
 }
 
 /// Index of the `kw` token of `kw name` (e.g. `struct AsyncReport`).

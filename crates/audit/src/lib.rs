@@ -14,8 +14,9 @@
 //!   `SystemTime`, `thread_rng` or raw `thread::spawn` in the
 //!   deterministic crates (`tensor`, `nn`, `split`, `simnet`,
 //!   `telemetry`).
-//! - **R3 `counter-accounting`** — every `TraceKind` variant maps to a
-//!   live `AsyncReport`/`CommReport` counter and both sides are emitted.
+//! - **R3 `counter-accounting`** — every `EventKind` variant is passed to
+//!   a `record(…)` call in non-test code; the recorder's counter bank
+//!   gives each recorded kind its report counter.
 //! - **R4 `forbid-unsafe`** — every crate root declares
 //!   `#![forbid(unsafe_code)]`.
 //! - **R5 `metric-accounting`** — every telemetry `MetricId` variant maps

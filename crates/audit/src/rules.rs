@@ -1,11 +1,11 @@
-//! The rule set: identifiers, scopes and the trace/counter contract.
+//! The rule set: identifiers, scopes and the per-rule inputs.
 //!
 //! Rules are numbered after the invariants they defend (DESIGN.md §9/§14):
 //!
 //! | id                   | invariant                                        |
 //! |----------------------|--------------------------------------------------|
 //! | `determinism`        | R1 — bitwise serial/parallel + seeded replay     |
-//! | `counter-accounting` | R3 — every `TraceKind` has a live counter        |
+//! | `counter-accounting` | R3 — every `EventKind` is recorded somewhere     |
 //! | `forbid-unsafe`      | R4 — `#![forbid(unsafe_code)]` in every crate    |
 //! | `metric-accounting`  | R5 — every `MetricId` is exported and recorded   |
 //! | `panic-reachability` | R6 — nothing reachable from untrusted input aborts |
@@ -22,7 +22,7 @@
 
 /// Rule id for R1 (determinism).
 pub const RULE_DETERMINISM: &str = "determinism";
-/// Rule id for R3 (trace/counter accounting).
+/// Rule id for R3 (event-emission liveness).
 pub const RULE_COUNTER: &str = "counter-accounting";
 /// Rule id for R4 (unsafe ban).
 pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
@@ -135,49 +135,10 @@ pub const R9_ENV_FILES: [&str; 5] = [
     "crates/audit/src/main.rs",
 ];
 
-/// Where the `TraceKind` enum lives (R3 input).
-pub const TRACE_FILE: &str = "crates/simnet/src/trace.rs";
-/// Where the report structs with the counters live (R3 input).
-pub const REPORT_FILE: &str = "crates/split/src/report.rs";
-
-/// The accounting contract: every `TraceKind` variant and the report field
-/// that must count it. A variant missing from this table, a mapped field
-/// missing from `report.rs`, or either side never referenced in non-test
-/// code is a `counter-accounting` finding — adding a trace kind forces the
-/// author to add (and emit) its counter, or extend this table in the same
-/// PR, where a reviewer sees both sides.
-pub const TRACE_COUNTERS: [(&str, &str); 30] = [
-    ("Arrival", "uplink_messages"),
-    ("ServiceStart", "served_per_client"),
-    ("GradientDelivered", "downlink_messages"),
-    ("SchedulerDrop", "scheduler_drops"),
-    ("NetworkDrop", "network_drops"),
-    ("Retransmit", "retransmits"),
-    ("RetryExhausted", "retry_exhausted"),
-    ("ClientCrash", "crash_events"),
-    ("ClientRecover", "recovery_events"),
-    ("CheckpointSave", "checkpoint_saves"),
-    ("CheckpointRestore", "checkpoint_restores"),
-    ("PayloadCorrupted", "corrupted_payloads"),
-    ("CorruptRejected", "corrupted_rejected"),
-    ("AnomalyRejected", "anomalies_rejected"),
-    ("Quarantine", "quarantines"),
-    ("QuarantineRelease", "quarantine_releases"),
-    ("QuarantineDrop", "quarantine_drops"),
-    ("Rollback", "rollbacks"),
-    ("SnapshotEmit", "snapshots_emitted"),
-    ("JournalDrop", "journal_dropped"),
-    ("ClientJoin", "clients_joined"),
-    ("ClientLeave", "clients_departed"),
-    ("ClientRejoin", "rejoins"),
-    ("IngressShed", "batches_shed"),
-    ("BreakerTrip", "breaker_trips"),
-    ("DeadlinePartialApply", "deadline_partial_applies"),
-    ("AttackInjected", "attacks_injected"),
-    ("RobustApply", "robust_applies"),
-    ("RobustOutlier", "robust_outliers"),
-    ("CohortStep", "cohort_steps"),
-];
+/// Where the `EventKind` enum lives (R3 input). Every variant must be
+/// passed to a `record(…)` call somewhere in non-test code; the counter
+/// bank gives each recorded kind its report counter.
+pub const EVENT_FILE: &str = "crates/telemetry/src/event.rs";
 
 /// Where the `MetricId` enum and the snapshot exporter live (R5 input).
 pub const METRIC_FILE: &str = "crates/telemetry/src/registry.rs";
@@ -187,7 +148,7 @@ pub const METRIC_FILE: &str = "crates/telemetry/src/registry.rs";
 /// a label absent from the registry source (i.e. dropped from `as_str` and
 /// therefore from every exported snapshot), or a variant never recorded in
 /// non-test code outside the registry is a `metric-accounting` finding —
-/// the same emission/liveness discipline R3 applies to trace counters.
+/// the same liveness discipline R3 applies to event kinds.
 pub const METRIC_IDS: [(&str, &str); 10] = [
     ("UplinkLatency", "uplink_latency_us"),
     ("DownlinkLatency", "downlink_latency_us"),
@@ -313,15 +274,6 @@ mod tests {
         }
         assert_eq!(suppression_budget(RULE_DETERMINISM), 2);
         assert_eq!(suppression_budget("nonsense"), 0);
-    }
-
-    #[test]
-    fn counter_table_is_duplicate_free() {
-        for (i, (v, _)) in TRACE_COUNTERS.iter().enumerate() {
-            for (w, _) in &TRACE_COUNTERS[i + 1..] {
-                assert_ne!(v, w, "duplicate variant mapping");
-            }
-        }
     }
 
     #[test]

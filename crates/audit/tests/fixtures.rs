@@ -3,9 +3,9 @@
 //! directive silences the finding and shows up in the suppression ledger.
 
 use stsl_audit::rules::{
-    METRIC_FILE, REPORT_FILE, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
+    EVENT_FILE, METRIC_FILE, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
     RULE_FORBID_UNSAFE, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
-    RULE_UNUSED_SUPPRESSION, TRACE_FILE,
+    RULE_UNUSED_SUPPRESSION,
 };
 use stsl_audit::{audit, AuditReport, SourceFile};
 
@@ -204,59 +204,30 @@ fn r9_allow_silences_and_is_counted() {
 }
 
 #[test]
-fn r3_missing_counter_fires_exactly_once() {
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_missing_counter.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert_fires_once(&report, RULE_COUNTER);
-    assert!(
-        report.findings[0].message.contains("rollbacks"),
-        "finding should name the missing counter: {}",
-        report.findings[0]
-    );
-    assert_eq!(report.findings[0].path, REPORT_FILE);
-}
-
-#[test]
 fn r3_complete_contract_is_clean() {
     let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_good.rs"),
+        fixture(EVENT_FILE, "r3_trace.rs"),
         fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
     ]);
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
 }
 
 #[test]
-fn r3_allow_silences_and_is_counted() {
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_missing_counter_allowed.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert_silenced(&report, RULE_COUNTER);
-}
-
-#[test]
 fn r3_unemitted_variant_is_caught() {
-    // Drop the Rollback emission from the emit fixture: the variant is
-    // declared and mapped but never recorded.
+    // Drop the Rollback record from the emit fixture: the variant is
+    // declared and its count is still read, but it is never recorded.
     let mut emit = fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs");
     emit.text = emit
         .text
         .lines()
-        .filter(|l| !l.contains("TraceKind::Rollback"))
+        .filter(|l| !l.contains("record(at, EventKind::Rollback"))
         .collect::<Vec<_>>()
         .join("\n");
-    let report = audit(&[
-        fixture(TRACE_FILE, "r3_trace.rs"),
-        fixture(REPORT_FILE, "r3_report_good.rs"),
-        emit,
-    ]);
+    let report = audit(&[fixture(EVENT_FILE, "r3_trace.rs"), emit]);
     assert_fires_once(&report, RULE_COUNTER);
+    assert!(report.findings[0].message.contains("Rollback"));
     assert!(report.findings[0].message.contains("never recorded"));
+    assert_eq!(report.findings[0].path, EVENT_FILE);
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! The audit run against the real tree, plus regression tripwires: the
-//! workspace must be clean, and undoing a hardening fix or deleting a
-//! counter must make the auditor fire again (the linter is only worth
-//! its keep if it catches the revert).
+//! workspace must be clean, and undoing a hardening fix or dropping an
+//! event record must make the auditor fire again (the linter is only
+//! worth its keep if it catches the revert).
 
 use std::collections::BTreeMap;
 use stsl_audit::rules::{
-    suppression_budget, METRIC_FILE, REPORT_FILE, RULE_COUNTER, RULE_ENV_READ,
-    RULE_FLOAT_REDUCTION, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM,
+    suppression_budget, METRIC_FILE, RULE_COUNTER, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
+    RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM,
 };
 use stsl_audit::{audit, collect_workspace_sources, find_workspace_root, SourceFile};
 
@@ -52,63 +52,29 @@ fn workspace_is_clean_within_per_rule_suppression_budgets() {
 }
 
 #[test]
-fn deleting_an_async_report_counter_is_caught() {
+fn unrecording_an_event_kind_is_caught() {
+    // Cohort steps are recorded in exactly one place, the fleet's step
+    // loop. Drop that record and R3 must fire even though the fleet
+    // report still reads the (now always-zero) count.
     let mut files = workspace_sources();
-    let report_rs = files
+    let fleet = files
         .iter_mut()
-        .find(|f| f.path == REPORT_FILE)
-        .expect("report.rs in workspace");
-    let before = report_rs.text.len();
-    report_rs.text = report_rs
-        .text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("pub rollbacks:"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        report_rs.text.len() < before,
-        "the field should exist to delete"
+        .find(|f| f.path == "crates/split/src/fleet.rs")
+        .expect("fleet.rs in workspace");
+    let patched = fleet.text.replace(
+        "self.log.record(now, EventKind::CohortStep, EndSystemId(c));",
+        "",
     );
+    assert_ne!(patched, fleet.text, "the record should exist to delete");
+    fleet.text = patched;
 
     let report = audit(&files);
     assert!(
         report
             .findings
             .iter()
-            .any(|f| f.rule == RULE_COUNTER && f.message.contains("rollbacks")),
-        "deleting the rollbacks counter must fire counter-accounting:\n{:#?}",
-        report.findings
-    );
-}
-
-#[test]
-fn deleting_a_telemetry_counter_is_caught() {
-    // Drop the journal_dropped counter from the real report.rs: the
-    // JournalDrop trace kind becomes unaccounted and R3 must fire.
-    let mut files = workspace_sources();
-    let report_rs = files
-        .iter_mut()
-        .find(|f| f.path == REPORT_FILE)
-        .expect("report.rs in workspace");
-    let before = report_rs.text.len();
-    report_rs.text = report_rs
-        .text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("pub journal_dropped:"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        report_rs.text.len() < before,
-        "the field should exist to delete"
-    );
-
-    let report = audit(&files);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == RULE_COUNTER && f.message.contains("journal_dropped")),
-        "deleting the journal_dropped counter must fire counter-accounting:\n{:#?}",
+            .any(|f| f.rule == RULE_COUNTER && f.message.contains("CohortStep")),
+        "dropping the CohortStep record must fire counter-accounting:\n{:#?}",
         report.findings
     );
 }

@@ -7,7 +7,8 @@
 //! crate provides the machinery to *measure* that claim: simulated time,
 //! a tie-stable event queue, link models (latency distribution + bandwidth
 //! serialization + loss), geographic star topologies with
-//! distance-derived latency, and delivery statistics.
+//! distance-derived latency, traffic counters, and the one event
+//! recorder every trainer reports through.
 //!
 //! Everything is deterministic given a seed; two runs produce identical
 //! event orders.
@@ -35,7 +36,6 @@ mod event;
 mod fault;
 mod link;
 mod network;
-mod stats;
 mod time;
 mod topology;
 mod trace;
@@ -43,8 +43,7 @@ mod trace;
 pub use event::{with_queue_kind, EventQueue, QueueKind};
 pub use fault::{corrupt_payload, AttackSpec, FaultEpisode, FaultKind, FaultPlan};
 pub use link::{LatencyModel, Link};
-pub use network::{Delivery, Direction, SimNetwork};
-pub use stats::{LatencyStats, TrafficCounter};
+pub use network::{Delivery, Direction, SimNetwork, TrafficCounter};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EndSystemId, GeoPoint, StarTopology};
-pub use trace::{TraceEvent, TraceKind, TraceLog};
+pub use trace::{EventLog, TraceEvent, TraceLog};

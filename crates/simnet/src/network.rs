@@ -1,8 +1,9 @@
-//! [`SimNetwork`]: topology + event queue + per-link randomness + stats.
+//! [`SimNetwork`]: topology + event queue + per-link randomness + traffic
+//! counters.
 
-use crate::{EndSystemId, EventQueue, LatencyStats, SimTime, StarTopology, TrafficCounter};
+use crate::{EndSystemId, EventLog, EventQueue, SimTime, StarTopology};
 use rand::rngs::StdRng;
-use stsl_telemetry::{JournalKind, MetricId, TelemetryHub};
+use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 use stsl_tensor::init::rng_from_seed;
 
 /// Direction of a transfer in the star topology.
@@ -29,6 +30,45 @@ pub struct Delivery<T> {
     pub payload: T,
 }
 
+/// Byte and message counters for one direction of a link.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrafficCounter {
+    /// Messages delivered.
+    pub messages: u64,
+    /// Bytes delivered.
+    pub bytes: u64,
+    /// Messages dropped by the link.
+    pub dropped: u64,
+}
+
+impl TrafficCounter {
+    /// Creates a zeroed counter.
+    pub fn new() -> Self {
+        TrafficCounter::default()
+    }
+
+    /// Records a delivered message of `bytes`.
+    pub fn record_delivery(&mut self, bytes: usize) {
+        self.messages += 1;
+        self.bytes += bytes as u64;
+    }
+
+    /// Records a dropped message.
+    pub fn record_drop(&mut self) {
+        self.dropped += 1;
+    }
+
+    /// Delivery ratio in `[0, 1]`; 1.0 when nothing was sent.
+    pub fn delivery_ratio(&self) -> f64 {
+        let sent = self.messages + self.dropped;
+        if sent == 0 {
+            1.0
+        } else {
+            self.messages as f64 / sent as f64
+        }
+    }
+}
+
 /// A deterministic simulated star network carrying typed messages between
 /// end-systems and the centralized server.
 ///
@@ -42,8 +82,7 @@ pub struct SimNetwork<T> {
     rngs: Vec<StdRng>,
     uplink: Vec<TrafficCounter>,
     downlink: Vec<TrafficCounter>,
-    latency: Vec<LatencyStats>,
-    telemetry: Option<TelemetryHub>,
+    log: EventLog,
 }
 
 impl<T> SimNetwork<T> {
@@ -60,28 +99,27 @@ impl<T> SimNetwork<T> {
             rngs,
             uplink: vec![TrafficCounter::new(); n],
             downlink: vec![TrafficCounter::new(); n],
-            latency: (0..n).map(|_| LatencyStats::new()).collect(),
-            telemetry: None,
+            log: EventLog::new(),
         }
     }
 
     /// Attaches a telemetry hub; every subsequent transfer records its
     /// delivery latency ([`MetricId::UplinkLatency`] /
     /// [`MetricId::DownlinkLatency`]) and every link-level loss is
-    /// journaled as [`JournalKind::NetworkDrop`].
+    /// journaled as [`EventKind::NetworkDrop`].
     pub fn attach_telemetry(&mut self, hub: TelemetryHub) {
-        self.telemetry = Some(hub);
+        self.log.attach_hub(hub);
     }
 
     /// The attached telemetry hub, if any.
     pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.telemetry.as_ref()
+        self.log.hub()
     }
 
     /// Detaches and returns the telemetry hub (e.g. to export after a
     /// run).
     pub fn take_telemetry(&mut self) -> Option<TelemetryHub> {
-        self.telemetry.take()
+        self.log.take_hub()
     }
 
     /// The topology the network runs over.
@@ -123,15 +161,12 @@ impl<T> SimNetwork<T> {
         match link.transfer(bytes, rng) {
             None => {
                 counter.record_drop();
-                if let Some(hub) = &mut self.telemetry {
-                    hub.journal(at.as_micros(), JournalKind::NetworkDrop, id.0 as u64);
-                }
+                self.log.record(at, EventKind::NetworkDrop, id);
                 false
             }
             Some(dur) => {
                 counter.record_delivery(bytes);
-                self.latency[id.0].record(dur);
-                if let Some(hub) = &mut self.telemetry {
+                if let Some(hub) = self.log.hub_mut() {
                     let metric = match direction {
                         Direction::Uplink => MetricId::UplinkLatency,
                         Direction::Downlink => MetricId::DownlinkLatency,
@@ -171,11 +206,6 @@ impl<T> SimNetwork<T> {
     /// Downlink traffic counter for end-system `id`.
     pub fn downlink_traffic(&self, id: EndSystemId) -> &TrafficCounter {
         &self.downlink[id.0]
-    }
-
-    /// Sampled transfer-latency statistics for end-system `id`.
-    pub fn latency_stats_mut(&mut self, id: EndSystemId) -> &mut LatencyStats {
-        &mut self.latency[id.0]
     }
 
     /// Total bytes moved in both directions.
@@ -296,7 +326,19 @@ mod tests {
         lossy.attach_telemetry(TelemetryHub::new(16));
         lossy.send(EndSystemId(0), Direction::Uplink, 1, SimTime::ZERO, ());
         let hub = lossy.take_telemetry().unwrap();
-        assert_eq!(hub.journal_log().count(JournalKind::NetworkDrop), 1);
+        assert_eq!(hub.journal_log().count(EventKind::NetworkDrop), 1);
+    }
+
+    #[test]
+    fn traffic_counter_ratios() {
+        let mut c = TrafficCounter::new();
+        assert_eq!(c.delivery_ratio(), 1.0);
+        c.record_delivery(100);
+        c.record_delivery(50);
+        c.record_drop();
+        assert_eq!(c.messages, 2);
+        assert_eq!(c.bytes, 150);
+        assert!((c.delivery_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

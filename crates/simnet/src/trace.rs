@@ -1,78 +1,15 @@
-//! Event tracing: a bounded, queryable log of simulation events.
+//! Event recording: one recorder decides which sinks an event reaches.
 //!
-//! Experiments attach a `TraceLog` to record what happened when (arrivals,
-//! services, drops) and later slice it by time window or end-system —
+//! Every trainer, the fleet and [`crate::SimNetwork`] record their
+//! protocol events through an [`EventLog`]. A record always bumps the
+//! log's counter bank (the source of every event-count report field),
+//! appends to the [`TraceLog`] when tracing is on, and journals into the
+//! attached [`TelemetryHub`] when the kind is journaled. Experiments
+//! slice the trace by time window or end-system afterwards, which is
 //! useful for plotting queue dynamics without re-running the simulation.
 
 use crate::{EndSystemId, SimTime};
-
-/// The kinds of events worth tracing in a split-learning simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceKind {
-    /// Activations arrived at the server.
-    Arrival,
-    /// The server began processing a batch.
-    ServiceStart,
-    /// A gradient was delivered back to an end-system.
-    GradientDelivered,
-    /// The scheduler discarded a stale batch.
-    SchedulerDrop,
-    /// The network lost a message.
-    NetworkDrop,
-    /// A lost message was retransmitted after a backoff.
-    Retransmit,
-    /// A message exhausted its retry budget and its batch was abandoned.
-    RetryExhausted,
-    /// An end-system crashed.
-    ClientCrash,
-    /// A crashed end-system recovered and rejoined.
-    ClientRecover,
-    /// Training state was checkpointed.
-    CheckpointSave,
-    /// An end-system was restored from a checkpoint.
-    CheckpointRestore,
-    /// A fault garbled an in-flight payload.
-    PayloadCorrupted,
-    /// The integrity guard rejected a frame (checksum/structure failure).
-    CorruptRejected,
-    /// Ingress validation rejected a non-finite or norm-exploding update.
-    AnomalyRejected,
-    /// An end-system was quarantined after repeated anomalies.
-    Quarantine,
-    /// A quarantined end-system finished probation and rejoined.
-    QuarantineRelease,
-    /// An update from a quarantined end-system was dropped.
-    QuarantineDrop,
-    /// The health watchdog rolled training back to an earlier checkpoint.
-    Rollback,
-    /// A telemetry snapshot was emitted.
-    SnapshotEmit,
-    /// The telemetry journal evicted its oldest event to make room.
-    JournalDrop,
-    /// A new end-system joined the fleet mid-training.
-    ClientJoin,
-    /// An end-system departed the fleet.
-    ClientLeave,
-    /// A departed end-system rejoined and resynced from its last acked
-    /// batch.
-    ClientRejoin,
-    /// The bounded ingress queue shed a batch under overload.
-    IngressShed,
-    /// A per-link circuit breaker tripped open after repeated delivery
-    /// failures.
-    BreakerTrip,
-    /// A round deadline fired and the partial quorum was applied.
-    DeadlinePartialApply,
-    /// An adversarial persona poisoned an outgoing update.
-    AttackInjected,
-    /// The robust aggregator combined a full window of updates.
-    RobustApply,
-    /// The robust aggregator flagged a sender as a statistical outlier.
-    RobustOutlier,
-    /// A cohort model replica completed one real training step on behalf
-    /// of its sharded end-systems (fleet path).
-    CohortStep,
-}
+use stsl_telemetry::{EventKind, TelemetryHub};
 
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,43 +17,21 @@ pub struct TraceEvent {
     /// When it happened.
     pub at: SimTime,
     /// What happened.
-    pub kind: TraceKind,
+    pub kind: EventKind,
     /// Which end-system it concerned.
     pub end_system: EndSystemId,
 }
 
-/// An append-only, optionally bounded event log.
+/// An append-only, queryable event trace. Filled only by an
+/// [`EventLog`] with tracing enabled.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
-    capacity: Option<usize>,
-    dropped: u64,
 }
 
 impl TraceLog {
-    /// Creates an unbounded log.
-    pub fn new() -> Self {
-        TraceLog::default()
-    }
-
-    /// Creates a log that keeps only the first `capacity` events (and
-    /// counts the rest).
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        TraceLog {
-            events: Vec::new(),
-            capacity: Some(capacity),
-            dropped: 0,
-        }
-    }
-
     /// Appends an event.
-    pub fn record(&mut self, at: SimTime, kind: TraceKind, end_system: EndSystemId) {
-        if let Some(cap) = self.capacity {
-            if self.events.len() >= cap {
-                self.dropped += 1;
-                return;
-            }
-        }
+    fn record(&mut self, at: SimTime, kind: EventKind, end_system: EndSystemId) {
         self.events.push(TraceEvent {
             at,
             kind,
@@ -139,18 +54,13 @@ impl TraceLog {
         self.events.is_empty()
     }
 
-    /// Events silently dropped because of the capacity limit.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Count of events of `kind`.
-    pub fn count(&self, kind: TraceKind) -> usize {
+    pub fn count(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Count of events of `kind` for one end-system.
-    pub fn count_for(&self, kind: TraceKind, end_system: EndSystemId) -> usize {
+    pub fn count_for(&self, kind: EventKind, end_system: EndSystemId) -> usize {
         self.events
             .iter()
             .filter(|e| e.kind == kind && e.end_system == end_system)
@@ -182,6 +92,88 @@ impl TraceLog {
     }
 }
 
+/// The one event recorder: a counter bank per [`EventKind`], plus an
+/// optional trace and an optional telemetry hub.
+#[derive(Debug, Clone, Default)]
+pub struct EventLog {
+    counts: [u64; EventKind::COUNT],
+    trace: Option<TraceLog>,
+    hub: Option<TelemetryHub>,
+}
+
+impl EventLog {
+    /// A log that only counts: no trace, no hub.
+    pub fn new() -> Self {
+        EventLog::default()
+    }
+
+    /// Starts a fresh trace; every later record is appended to it.
+    pub fn enable_trace(&mut self) {
+        self.trace = Some(TraceLog::default());
+    }
+
+    /// Attaches a telemetry hub; every later record of a journaled kind
+    /// is journaled into it.
+    pub fn attach_hub(&mut self, hub: TelemetryHub) {
+        self.hub = Some(hub);
+    }
+
+    /// Records one event: bumps its counter, traces it when tracing is
+    /// on, and journals it when a hub is attached and the kind is
+    /// journaled. A journal eviction is itself recorded as
+    /// [`EventKind::JournalDrop`], right after the event that caused it.
+    pub fn record(&mut self, at: SimTime, kind: EventKind, actor: EndSystemId) {
+        self.counts[kind.index()] += 1;
+        if let Some(trace) = &mut self.trace {
+            trace.record(at, kind, actor);
+        }
+        if !kind.journaled() {
+            return;
+        }
+        let evicted = self
+            .hub
+            .as_mut()
+            .is_some_and(|hub| hub.journal(at.as_micros(), kind, actor.0 as u64));
+        if evicted {
+            self.record(at, EventKind::JournalDrop, actor);
+        }
+    }
+
+    /// Events of `kind` recorded since creation or the last
+    /// [`EventLog::reset_counts`].
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.counts[kind.index()]
+    }
+
+    /// Zeroes the counter bank; the trace and the journal keep their
+    /// rows. Trainers call this when a run starts, so a report counts
+    /// that run alone.
+    pub fn reset_counts(&mut self) {
+        self.counts = [0; EventKind::COUNT];
+    }
+
+    /// The trace, if [`EventLog::enable_trace`] was called.
+    pub fn trace(&self) -> Option<&TraceLog> {
+        self.trace.as_ref()
+    }
+
+    /// The attached telemetry hub, if any.
+    pub fn hub(&self) -> Option<&TelemetryHub> {
+        self.hub.as_ref()
+    }
+
+    /// Mutable access to the attached hub, for metric samples and
+    /// snapshots.
+    pub fn hub_mut(&mut self) -> Option<&mut TelemetryHub> {
+        self.hub.as_mut()
+    }
+
+    /// Detaches and returns the hub.
+    pub(crate) fn take_hub(&mut self) -> Option<TelemetryHub> {
+        self.hub.take()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,48 +182,87 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn traced() -> EventLog {
+        let mut log = EventLog::new();
+        log.enable_trace();
+        log
+    }
+
     #[test]
     fn records_and_counts() {
-        let mut log = TraceLog::new();
-        log.record(t(1), TraceKind::Arrival, EndSystemId(0));
-        log.record(t(2), TraceKind::Arrival, EndSystemId(1));
-        log.record(t(3), TraceKind::ServiceStart, EndSystemId(0));
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.count(TraceKind::Arrival), 2);
-        assert_eq!(log.count_for(TraceKind::Arrival, EndSystemId(0)), 1);
-        assert_eq!(log.count(TraceKind::NetworkDrop), 0);
+        let mut log = traced();
+        log.record(t(1), EventKind::Arrival, EndSystemId(0));
+        log.record(t(2), EventKind::Arrival, EndSystemId(1));
+        log.record(t(3), EventKind::ServiceStart, EndSystemId(0));
+        let trace = log.trace().unwrap();
+        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.count(EventKind::Arrival), 2);
+        assert_eq!(trace.count_for(EventKind::Arrival, EndSystemId(0)), 1);
+        assert_eq!(trace.count(EventKind::NetworkDrop), 0);
+        assert_eq!(log.count(EventKind::Arrival), 2);
+        assert_eq!(log.count(EventKind::NetworkDrop), 0);
     }
 
     #[test]
     fn window_is_half_open() {
-        let mut log = TraceLog::new();
+        let mut log = traced();
         for ms in [1u64, 5, 10, 15] {
-            log.record(t(ms), TraceKind::Arrival, EndSystemId(0));
+            log.record(t(ms), EventKind::Arrival, EndSystemId(0));
         }
-        let w = log.window(t(5), t(15));
+        let w = log.trace().unwrap().window(t(5), t(15));
         assert_eq!(w.len(), 2);
         assert_eq!(w[0].at, t(5));
         assert_eq!(w[1].at, t(10));
     }
 
     #[test]
-    fn capacity_limit_counts_overflow() {
-        let mut log = TraceLog::with_capacity_limit(2);
-        for ms in 0..5u64 {
-            log.record(t(ms), TraceKind::Arrival, EndSystemId(0));
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-    }
-
-    #[test]
     fn csv_export_has_header_and_rows() {
-        let mut log = TraceLog::new();
-        log.record(t(2), TraceKind::SchedulerDrop, EndSystemId(3));
-        let csv = log.to_csv();
+        let mut log = traced();
+        log.record(t(2), EventKind::SchedulerDrop, EndSystemId(3));
+        let csv = log.trace().unwrap().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "time_us,kind,end_system");
         assert_eq!(lines[1], "2000,SchedulerDrop,3");
+    }
+
+    #[test]
+    fn counts_without_trace_or_hub() {
+        let mut log = EventLog::new();
+        log.record(t(1), EventKind::Retransmit, EndSystemId(0));
+        assert_eq!(log.count(EventKind::Retransmit), 1);
+        assert!(log.trace().is_none());
+        log.reset_counts();
+        assert_eq!(log.count(EventKind::Retransmit), 0);
+    }
+
+    #[test]
+    fn evictions_are_counted_and_traced_after_their_cause() {
+        let mut log = traced();
+        log.attach_hub(TelemetryHub::new(1));
+        log.record(t(1), EventKind::Arrival, EndSystemId(0));
+        log.record(t(2), EventKind::ServiceStart, EndSystemId(0));
+        // Unjournaled kinds never evict.
+        log.record(t(3), EventKind::CorruptRejected, EndSystemId(1));
+        let kinds: Vec<EventKind> = log
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Arrival,
+                EventKind::ServiceStart,
+                EventKind::JournalDrop,
+                EventKind::CorruptRejected,
+            ]
+        );
+        assert_eq!(log.count(EventKind::JournalDrop), 1);
+        let hub = log.hub().unwrap();
+        assert_eq!(hub.journal_log().evicted(), 1);
+        assert_eq!(hub.journal_log().count(EventKind::ServiceStart), 1);
     }
 }

@@ -55,10 +55,10 @@ use bytes::Bytes;
 use rand::Rng;
 use stsl_data::{ImageDataset, Partition};
 use stsl_simnet::{
-    corrupt_payload, AttackSpec, EndSystemId, EventQueue, FaultPlan, SimDuration, SimTime,
-    StarTopology, TraceKind, TraceLog,
+    corrupt_payload, AttackSpec, EndSystemId, EventLog, EventQueue, FaultPlan, SimDuration,
+    SimTime, StarTopology, TraceLog,
 };
-use stsl_telemetry::{JournalKind, MetricId, TelemetryHub};
+use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 use stsl_tensor::init::{derive_seed, rng_from_seed};
 use stsl_tensor::Tensor;
 
@@ -151,9 +151,10 @@ pub struct AsyncSplitTrainer {
     retry_rng: rand::rngs::StdRng,
     server_busy_until: SimTime,
     comm: CommReport,
-    network_drops: u64,
     client_epoch: Vec<u64>,
-    trace: Option<TraceLog>,
+    /// Every protocol event goes through here: the counter bank behind
+    /// the report, the optional trace and the optional telemetry hub.
+    log: EventLog,
     // Fault tolerance.
     fault_plan: FaultPlan,
     retry: RetryPolicy,
@@ -165,23 +166,12 @@ pub struct AsyncSplitTrainer {
     down_since: Vec<Option<SimTime>>,
     downtime_us: Vec<u64>,
     stall_wake: Option<SimTime>,
-    retransmits: u64,
-    retry_exhausted: u64,
     batches_lost_per_client: Vec<u64>,
-    crash_events: u64,
-    recovery_events: u64,
-    checkpoint_saves: u64,
-    checkpoint_restores: u64,
     // Data-plane integrity.
     guard: Option<GuardConfig>,
     quarantine: QuarantineTracker,
     watchdog: HealthWatchdog,
-    corrupted_payloads: u64,
-    corrupted_rejected: u64,
-    anomalies_rejected: u64,
-    rollbacks: u64,
     // Observability.
-    telemetry: Option<TelemetryHub>,
     telemetry_every: Option<SimDuration>,
     // Dynamic membership & overload control.
     membership: Membership,
@@ -190,16 +180,10 @@ pub struct AsyncSplitTrainer {
     buckets: Vec<TokenBucket>,
     deadlines: Option<DeadlineConfig>,
     deadline_snapshot: Vec<u64>,
-    clients_joined: u64,
-    bucket_shed: u64,
-    deadline_partial_applies: u64,
     quorum_lost: Option<QuorumLost>,
     // Byzantine resilience.
     attack_rngs: Vec<rand::rngs::StdRng>,
     attack_steps: Vec<u64>,
-    attacks_injected: u64,
-    robust_applies: u64,
-    robust_outliers: u64,
     updates_trimmed: u64,
     /// The window size [`AsyncSplitTrainer::with_robust_aggregation`]
     /// configured; the live window shrinks below it while senders sit in
@@ -279,9 +263,8 @@ impl AsyncSplitTrainer {
             retry_rng,
             server_busy_until: SimTime::ZERO,
             comm: CommReport::default(),
-            network_drops: 0,
             client_epoch: Vec::new(),
-            trace: None,
+            log: EventLog::new(),
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::from_timeout(compute.retry_timeout),
             liveness_timeout,
@@ -292,21 +275,10 @@ impl AsyncSplitTrainer {
             down_since: vec![None; n],
             downtime_us: vec![0; n],
             stall_wake: None,
-            retransmits: 0,
-            retry_exhausted: 0,
             batches_lost_per_client: vec![0; n],
-            crash_events: 0,
-            recovery_events: 0,
-            checkpoint_saves: 0,
-            checkpoint_restores: 0,
             guard: None,
             quarantine: QuarantineTracker::new(n, &GuardConfig::default()),
             watchdog: HealthWatchdog::new(&GuardConfig::default()),
-            corrupted_payloads: 0,
-            corrupted_rejected: 0,
-            anomalies_rejected: 0,
-            rollbacks: 0,
-            telemetry: None,
             telemetry_every: None,
             membership: Membership::new(n),
             overload: None,
@@ -314,15 +286,9 @@ impl AsyncSplitTrainer {
             buckets: Vec::new(),
             deadlines: None,
             deadline_snapshot: vec![0; n],
-            clients_joined: 0,
-            bucket_shed: 0,
-            deadline_partial_applies: 0,
             quorum_lost: None,
             attack_rngs: Vec::new(),
             attack_steps: vec![0; n],
-            attacks_injected: 0,
-            robust_applies: 0,
-            robust_outliers: 0,
             updates_trimmed: 0,
             robust_window_base: 0,
             queued_ticks: 0,
@@ -435,7 +401,7 @@ impl AsyncSplitTrainer {
             every > SimDuration::ZERO,
             "telemetry snapshot interval must be positive"
         );
-        self.telemetry = Some(TelemetryHub::new(journal_capacity));
+        self.log.attach_hub(TelemetryHub::new(journal_capacity));
         self.telemetry_every = Some(every);
         self
     }
@@ -443,7 +409,7 @@ impl AsyncSplitTrainer {
     /// The telemetry hub, if [`AsyncSplitTrainer::with_telemetry`] was
     /// used.
     pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.telemetry.as_ref()
+        self.log.hub()
     }
 
     /// Enables server-side overload protection (builder style): the
@@ -522,18 +488,18 @@ impl AsyncSplitTrainer {
     /// delivery, drop, retransmission, crash, recovery and checkpoint is
     /// recorded for later inspection via [`AsyncSplitTrainer::trace`].
     pub fn enable_trace(&mut self) {
-        self.trace = Some(TraceLog::new());
+        self.log.enable_trace();
     }
 
     /// The event trace, if [`AsyncSplitTrainer::enable_trace`] was called.
     pub fn trace(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
+        self.log.trace()
     }
 
-    fn trace_event(&mut self, at: SimTime, kind: TraceKind, id: EndSystemId) {
-        if let Some(log) = &mut self.trace {
-            log.record(at, kind, id);
-        }
+    /// The event record: per-kind counts for the current run, plus the
+    /// trace and the telemetry hub when enabled.
+    pub fn event_log(&self) -> &EventLog {
+        &self.log
     }
 
     /// The id used for server-scoped trace events (one past the last
@@ -557,47 +523,32 @@ impl AsyncSplitTrainer {
         self.events.len() > self.queued_ticks
     }
 
-    /// Journals an event into the telemetry hub (if attached). A ring
-    /// eviction is itself an accountable loss: it is traced as
-    /// [`TraceKind::JournalDrop`] and surfaces as
-    /// `AsyncReport::journal_dropped`.
-    fn journal_event(&mut self, at: SimTime, kind: JournalKind, id: EndSystemId) {
-        let Some(hub) = &mut self.telemetry else {
-            return;
-        };
-        let evicted = hub.journal(at.as_micros(), kind, id.0 as u64);
-        if evicted {
-            self.trace_event(at, TraceKind::JournalDrop, id);
-        }
-    }
-
-    /// Emits one telemetry snapshot at `t` (traced as
-    /// [`TraceKind::SnapshotEmit`] and journaled).
+    /// Emits one telemetry snapshot at `t` (recorded as
+    /// [`EventKind::SnapshotEmit`]).
     fn emit_snapshot(&mut self, t: SimTime) {
-        if self.telemetry.is_none() {
-            return;
-        }
         let server_id = self.server_trace_id();
-        let shed = self.queue.shed() + self.bucket_shed;
+        let shed = self.log.count(EventKind::IngressShed);
         let overload = self.overload.is_some();
         let robust = self.server.robust_enabled();
-        let rejected = self.robust_outliers + self.anomalies_rejected + self.quarantine.drops();
-        if let Some(hub) = &mut self.telemetry {
-            if overload {
-                // Cumulative shed total sampled once per snapshot — the
-                // dashboard's shed-rate series.
-                hub.record(MetricId::ShedRate, server_id.0 as u64, shed);
-            }
-            if robust {
-                // Cumulative defense-layer refusals (ingress anomalies,
-                // quarantine drops, robust outliers), sampled once per
-                // snapshot — the dashboard's rejected-update series.
-                hub.record(MetricId::RejectedUpdateRate, server_id.0 as u64, rejected);
-            }
-            hub.emit_snapshot(t.as_micros());
+        let rejected = self.log.count(EventKind::RobustOutlier)
+            + self.log.count(EventKind::AnomalyRejected)
+            + self.log.count(EventKind::QuarantineDrop);
+        let Some(hub) = self.log.hub_mut() else {
+            return;
+        };
+        if overload {
+            // Cumulative shed total sampled once per snapshot — the
+            // dashboard's shed-rate series.
+            hub.record(MetricId::ShedRate, server_id.0 as u64, shed);
         }
-        self.trace_event(t, TraceKind::SnapshotEmit, server_id);
-        self.journal_event(t, JournalKind::SnapshotEmit, server_id);
+        if robust {
+            // Cumulative defense-layer refusals (ingress anomalies,
+            // quarantine drops, robust outliers), sampled once per
+            // snapshot — the dashboard's rejected-update series.
+            hub.record(MetricId::RejectedUpdateRate, server_id.0 as u64, rejected);
+        }
+        hub.emit_snapshot(t.as_micros());
+        self.log.record(t, EventKind::SnapshotEmit, server_id);
     }
 
     /// Runs the configured number of client epochs to completion and
@@ -675,9 +626,7 @@ impl AsyncSplitTrainer {
         }
         self.membership = membership;
         self.deadline_snapshot = vec![0; n];
-        self.clients_joined = 0;
-        self.bucket_shed = 0;
-        self.deadline_partial_applies = 0;
+        self.log.reset_counts();
         self.quorum_lost = None;
         self.queued_ticks = 0;
         // Adversary streams are derived per client and consulted only
@@ -687,9 +636,6 @@ impl AsyncSplitTrainer {
             .map(|i| rng_from_seed(derive_seed(self.config.seed, 7000 + i as u64)))
             .collect();
         self.attack_steps = vec![0; n];
-        self.attacks_injected = 0;
-        self.robust_applies = 0;
-        self.robust_outliers = 0;
         self.updates_trimmed = 0;
         self.server.clear_robust_buffer();
         if let Some(cfg) = self.overload {
@@ -812,18 +758,15 @@ impl AsyncSplitTrainer {
                         continue;
                     }
                     if self.guard.is_some() {
-                        match self
-                            .quarantine
-                            .admit_observed(id.0, t, self.telemetry.as_mut())
-                        {
+                        match self.quarantine.admit(id.0, t) {
                             QuarantineStatus::Dropped => {
-                                self.trace_event(t, TraceKind::QuarantineDrop, id);
+                                self.log.record(t, EventKind::QuarantineDrop, id);
                                 self.batches_lost_per_client[id.0] += 1;
                                 self.events.schedule(t, Event::BatchAbandon(id));
                                 continue;
                             }
                             QuarantineStatus::Released => {
-                                self.trace_event(t, TraceKind::QuarantineRelease, id);
+                                self.log.record(t, EventKind::QuarantineRelease, id);
                                 self.resize_robust_window(t);
                             }
                             QuarantineStatus::Clear => {}
@@ -840,30 +783,24 @@ impl AsyncSplitTrainer {
                         // Rate limit: the sender is over its admission
                         // budget, so the batch is refused at the ingress
                         // edge and never counts as an arrival.
-                        self.bucket_shed += 1;
-                        self.trace_event(t, TraceKind::IngressShed, id);
-                        self.journal_event(t, JournalKind::IngressShed, id);
+                        self.log.record(t, EventKind::IngressShed, id);
                         self.batches_lost_per_client[id.0] += 1;
                         self.events.schedule(t, Event::BatchAbandon(id));
                         continue;
                     }
-                    self.trace_event(t, TraceKind::Arrival, id);
-                    self.journal_event(t, JournalKind::Arrival, id);
+                    self.log.record(t, EventKind::Arrival, id);
                     if self.overload.is_some() {
-                        let victims =
-                            self.queue
-                                .push_shed_observed(t, msg, self.telemetry.as_mut());
+                        let victims = self.queue.push_shed_observed(t, msg, self.log.hub_mut());
                         for victim in victims {
                             // Oldest-staleness-first shed: the longest-
                             // waiting pending batch makes room.
                             let vid = victim.from;
-                            self.trace_event(t, TraceKind::IngressShed, vid);
-                            self.journal_event(t, JournalKind::IngressShed, vid);
+                            self.log.record(t, EventKind::IngressShed, vid);
                             self.batches_lost_per_client[vid.0] += 1;
                             self.events.schedule(t, Event::BatchAbandon(vid));
                         }
                     } else {
-                        self.queue.push_observed(t, msg, self.telemetry.as_mut());
+                        self.queue.push_observed(t, msg, self.log.hub_mut());
                     }
                     self.try_serve(t);
                 }
@@ -875,8 +812,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue; // delivered into the void
                     }
-                    self.trace_event(t, TraceKind::GradientDelivered, id);
-                    self.journal_event(t, JournalKind::GradientDelivered, id);
+                    self.log.record(t, EventKind::GradientDelivered, id);
                     // A stale gradient (its batch was abandoned after a
                     // retry exhaustion or crash) is ignored; the client
                     // already moved on.
@@ -891,9 +827,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.retransmits += 1;
-                    self.trace_event(t, TraceKind::Retransmit, id);
-                    self.journal_event(t, JournalKind::Retransmit, id);
+                    self.log.record(t, EventKind::Retransmit, id);
                     self.send_uplink(msg, failures, t);
                 }
                 Event::DownlinkRetry { msg, failures } => {
@@ -901,9 +835,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.retransmits += 1;
-                    self.trace_event(t, TraceKind::Retransmit, id);
-                    self.journal_event(t, JournalKind::Retransmit, id);
+                    self.log.record(t, EventKind::Retransmit, id);
                     self.send_downlink(msg, failures, t);
                 }
                 Event::UplinkProbe { msg, failures } => {
@@ -925,8 +857,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.corrupted_rejected += 1;
-                    self.trace_event(t, TraceKind::CorruptRejected, id);
+                    self.log.record(t, EventKind::CorruptRejected, id);
                     let failures = failures + 1;
                     if self.retry.may_retry(failures) {
                         let delay = self.retry.backoff(failures, &mut self.retry_rng);
@@ -941,8 +872,7 @@ impl AsyncSplitTrainer {
                     if self.crashed[id.0] || !self.is_member(id.0) {
                         continue;
                     }
-                    self.corrupted_rejected += 1;
-                    self.trace_event(t, TraceKind::CorruptRejected, id);
+                    self.log.record(t, EventKind::CorruptRejected, id);
                     let failures = failures + 1;
                     if self.retry.may_retry(failures) {
                         let delay = self.retry.backoff(failures, &mut self.retry_rng);
@@ -964,10 +894,8 @@ impl AsyncSplitTrainer {
                         continue; // overlapping crash windows
                     }
                     self.crashed[id.0] = true;
-                    self.crash_events += 1;
                     self.down_since[id.0] = Some(t);
-                    self.trace_event(t, TraceKind::ClientCrash, id);
-                    self.journal_event(t, JournalKind::ClientCrash, id);
+                    self.log.record(t, EventKind::ClientCrash, id);
                     if self.clients[id.0].outstanding().is_some() {
                         self.clients[id.0].abandon_outstanding();
                         self.batches_lost_per_client[id.0] += 1;
@@ -978,20 +906,16 @@ impl AsyncSplitTrainer {
                         continue; // still inside an overlapping window
                     }
                     self.crashed[id.0] = false;
-                    self.recovery_events += 1;
                     if let Some(s) = self.down_since[id.0].take() {
                         self.downtime_us[id.0] += t.since(s).as_micros();
                     }
-                    self.trace_event(t, TraceKind::ClientRecover, id);
-                    self.journal_event(t, JournalKind::ClientRecover, id);
+                    self.log.record(t, EventKind::ClientRecover, id);
                     let state = self.ring.latest().map(|c| c.client_states[id.0].clone());
                     if let Some(state) = state {
                         // Crash-recovery restore: the private layers roll
                         // back to the newest persisted snapshot.
                         self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.checkpoint_restores += 1;
-                        self.trace_event(t, TraceKind::CheckpointRestore, id);
-                        self.journal_event(t, JournalKind::CheckpointRestore, id);
+                        self.log.record(t, EventKind::CheckpointRestore, id);
                     }
                     self.launch_next_batch(id, t);
                 }
@@ -1026,9 +950,7 @@ impl AsyncSplitTrainer {
                     {
                         continue;
                     }
-                    self.clients_joined += 1;
-                    self.trace_event(t, TraceKind::ClientJoin, id);
-                    self.journal_event(t, JournalKind::ClientJoin, id);
+                    self.log.record(t, EventKind::ClientJoin, id);
                     self.note_membership();
                     self.liveness.readmit(id, t);
                     // Server-seeded warm start: clone the most-served
@@ -1044,9 +966,7 @@ impl AsyncSplitTrainer {
                     };
                     if let Some(state) = state {
                         self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.checkpoint_restores += 1;
-                        self.trace_event(t, TraceKind::CheckpointRestore, id);
-                        self.journal_event(t, JournalKind::CheckpointRestore, id);
+                        self.log.record(t, EventKind::CheckpointRestore, id);
                     }
                     self.launch_next_batch(id, t);
                 }
@@ -1061,8 +981,7 @@ impl AsyncSplitTrainer {
                     {
                         continue;
                     }
-                    self.trace_event(t, TraceKind::ClientLeave, id);
-                    self.journal_event(t, JournalKind::ClientLeave, id);
+                    self.log.record(t, EventKind::ClientLeave, id);
                     self.note_membership();
                     self.liveness.retire(id);
                     // The un-acked batch is rewound, not abandoned: if the
@@ -1086,8 +1005,7 @@ impl AsyncSplitTrainer {
                     // Rejoining -> Active is immediate in simulation; the
                     // two-step keeps the lifecycle auditable.
                     let _ = self.membership.transition(id.0, MembershipState::Active);
-                    self.trace_event(t, TraceKind::ClientRejoin, id);
-                    self.journal_event(t, JournalKind::ClientRejoin, id);
+                    self.log.record(t, EventKind::ClientRejoin, id);
                     self.note_membership();
                     self.liveness.readmit(id, t);
                     // Resync: the cursor was rewound at departure, so the
@@ -1126,10 +1044,9 @@ impl AsyncSplitTrainer {
                         // progress this round, so the stragglers'
                         // outstanding batches are abandoned instead of
                         // holding everyone back.
-                        self.deadline_partial_applies += 1;
                         let server_id = self.server_trace_id();
-                        self.trace_event(t, TraceKind::DeadlinePartialApply, server_id);
-                        self.journal_event(t, JournalKind::DeadlinePartial, server_id);
+                        self.log
+                            .record(t, EventKind::DeadlinePartialApply, server_id);
                         for id in stragglers {
                             self.batches_lost_per_client[id.0] += 1;
                             self.events.schedule(t, Event::BatchAbandon(id));
@@ -1184,6 +1101,7 @@ impl AsyncSplitTrainer {
         } else {
             stsl_tensor::mean_f32(&active)
         };
+        let count = |kind| self.log.count(kind);
         let report = AsyncReport {
             policy: self.policy.to_string(),
             end_systems: self.config.end_systems,
@@ -1196,44 +1114,36 @@ impl AsyncSplitTrainer {
             mean_queue_depth: self.queue.mean_depth(),
             max_queue_depth: self.queue.max_depth(),
             mean_queue_wait_ms: self.queue.mean_wait().as_micros() as f64 / 1e3,
-            scheduler_drops: self.queue.dropped(),
-            network_drops: self.network_drops,
-            retransmits: self.retransmits,
-            retry_exhausted: self.retry_exhausted,
+            scheduler_drops: count(EventKind::SchedulerDrop),
+            network_drops: count(EventKind::NetworkDrop),
+            retransmits: count(EventKind::Retransmit),
+            retry_exhausted: count(EventKind::RetryExhausted),
             batches_lost: self.batches_lost_per_client.iter().sum(),
             batches_lost_per_client: self.batches_lost_per_client.clone(),
             downtime_ms_per_client: self.downtime_us.iter().map(|&us| us as f64 / 1e3).collect(),
-            crash_events: self.crash_events,
-            recovery_events: self.recovery_events,
-            checkpoint_saves: self.checkpoint_saves,
-            checkpoint_restores: self.checkpoint_restores,
+            crash_events: count(EventKind::ClientCrash),
+            recovery_events: count(EventKind::ClientRecover),
+            checkpoint_saves: count(EventKind::CheckpointSave),
+            checkpoint_restores: count(EventKind::CheckpointRestore),
             dead_clients_detected: self.liveness.dead_detections(),
-            corrupted_payloads: self.corrupted_payloads,
-            corrupted_rejected: self.corrupted_rejected,
-            anomalies_rejected: self.anomalies_rejected,
-            quarantines: self.quarantine.quarantines(),
-            quarantine_drops: self.quarantine.drops(),
-            quarantine_releases: self.quarantine.releases(),
-            rollbacks: self.rollbacks,
-            snapshots_emitted: self
-                .telemetry
-                .as_ref()
-                .map(|h| h.snapshots().len() as u64)
-                .unwrap_or(0),
-            journal_dropped: self
-                .telemetry
-                .as_ref()
-                .map(|h| h.journal_log().evicted())
-                .unwrap_or(0),
-            clients_joined: self.clients_joined,
-            clients_departed: self.membership.departed(),
-            rejoins: self.membership.rejoins(),
-            batches_shed: self.queue.shed() + self.bucket_shed,
-            breaker_trips: self.breaker.trips(),
-            deadline_partial_applies: self.deadline_partial_applies,
-            attacks_injected: self.attacks_injected,
-            robust_applies: self.robust_applies,
-            robust_outliers: self.robust_outliers,
+            corrupted_payloads: count(EventKind::PayloadCorrupted),
+            corrupted_rejected: count(EventKind::CorruptRejected),
+            anomalies_rejected: count(EventKind::AnomalyRejected),
+            quarantines: count(EventKind::Quarantine),
+            quarantine_drops: count(EventKind::QuarantineDrop),
+            quarantine_releases: count(EventKind::QuarantineRelease),
+            rollbacks: count(EventKind::Rollback),
+            snapshots_emitted: count(EventKind::SnapshotEmit),
+            journal_dropped: count(EventKind::JournalDrop),
+            clients_joined: count(EventKind::ClientJoin),
+            clients_departed: count(EventKind::ClientLeave),
+            rejoins: count(EventKind::ClientRejoin),
+            batches_shed: count(EventKind::IngressShed),
+            breaker_trips: count(EventKind::BreakerTrip),
+            deadline_partial_applies: count(EventKind::DeadlinePartialApply),
+            attacks_injected: count(EventKind::AttackInjected),
+            robust_applies: count(EventKind::RobustApply),
+            robust_outliers: count(EventKind::RobustOutlier),
             updates_trimmed: self.updates_trimmed,
             comm: self.comm,
         };
@@ -1254,7 +1164,7 @@ impl AsyncSplitTrainer {
     fn note_membership(&mut self) {
         let size = self.membership.member_count() as u64;
         let server_id = self.server_trace_id();
-        if let Some(hub) = &mut self.telemetry {
+        if let Some(hub) = self.log.hub_mut() {
             hub.record(MetricId::MembershipSize, server_id.0 as u64, size);
         }
     }
@@ -1333,10 +1243,8 @@ impl AsyncSplitTrainer {
             server_state,
             client_states,
         });
-        self.checkpoint_saves += 1;
         let server_id = self.server_trace_id();
-        self.trace_event(t, TraceKind::CheckpointSave, server_id);
-        self.journal_event(t, JournalKind::CheckpointSave, server_id);
+        self.log.record(t, EventKind::CheckpointSave, server_id);
     }
 
     /// Watchdog-triggered rollback: restore the newest ring checkpoint
@@ -1345,10 +1253,8 @@ impl AsyncSplitTrainer {
     /// and re-arm the watchdog. Repeated divergences pop progressively
     /// older entries.
     fn rollback(&mut self, t: SimTime, guard: &GuardConfig) {
-        self.rollbacks += 1;
         let server_id = self.server_trace_id();
-        self.trace_event(t, TraceKind::Rollback, server_id);
-        self.journal_event(t, JournalKind::Rollback, server_id);
+        self.log.record(t, EventKind::Rollback, server_id);
         if let Some(ckpt) = self.ring.pop_latest() {
             self.server.model_mut().load_state_dict(&ckpt.server_state);
             for (client, state) in self.clients.iter_mut().zip(&ckpt.client_states) {
@@ -1402,9 +1308,7 @@ impl AsyncSplitTrainer {
         let Some(attack) = self.fault_plan.attack(id, t) else {
             return;
         };
-        self.attacks_injected += 1;
-        self.trace_event(t, TraceKind::AttackInjected, id);
-        self.journal_event(t, JournalKind::AttackInjected, id);
+        self.log.record(t, EventKind::AttackInjected, id);
         match attack {
             AttackSpec::SignFlip { gain } => {
                 let g = -(gain as f32);
@@ -1468,8 +1372,7 @@ impl AsyncSplitTrainer {
                 // exact event streams.
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.corrupted_payloads += 1;
-                    self.trace_event(at, TraceKind::PayloadCorrupted, id);
+                    self.log.record(at, EventKind::PayloadCorrupted, id);
                     self.garble_uplink(msg, failures)
                 } else {
                     Event::Arrival(msg)
@@ -1477,18 +1380,15 @@ impl AsyncSplitTrainer {
                 if self.overload.is_some() {
                     self.breaker.record_success(id);
                 }
-                if let Some(hub) = &mut self.telemetry {
+                if let Some(hub) = self.log.hub_mut() {
                     hub.record(MetricId::UplinkLatency, id.0 as u64, dur.as_micros());
                 }
                 self.events.schedule(at + dur, deliver);
             }
             None => {
-                self.network_drops += 1;
-                self.trace_event(at, TraceKind::NetworkDrop, id);
-                self.journal_event(at, JournalKind::NetworkDrop, id);
+                self.log.record(at, EventKind::NetworkDrop, id);
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.trace_event(at, TraceKind::BreakerTrip, id);
-                    self.journal_event(at, JournalKind::BreakerTrip, id);
+                    self.log.record(at, EventKind::BreakerTrip, id);
                 }
                 let failures = failures + 1;
                 if self.retry.may_retry(failures) {
@@ -1581,8 +1481,7 @@ impl AsyncSplitTrainer {
             Some(dur) => {
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.corrupted_payloads += 1;
-                    self.trace_event(at, TraceKind::PayloadCorrupted, id);
+                    self.log.record(at, EventKind::PayloadCorrupted, id);
                     self.garble_downlink(msg, failures)
                 } else {
                     Event::GradArrival(msg)
@@ -1590,18 +1489,15 @@ impl AsyncSplitTrainer {
                 if self.overload.is_some() {
                     self.breaker.record_success(id);
                 }
-                if let Some(hub) = &mut self.telemetry {
+                if let Some(hub) = self.log.hub_mut() {
                     hub.record(MetricId::DownlinkLatency, id.0 as u64, dur.as_micros());
                 }
                 self.events.schedule(at + dur, deliver);
             }
             None => {
-                self.network_drops += 1;
-                self.trace_event(at, TraceKind::NetworkDrop, id);
-                self.journal_event(at, JournalKind::NetworkDrop, id);
+                self.log.record(at, EventKind::NetworkDrop, id);
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.trace_event(at, TraceKind::BreakerTrip, id);
-                    self.journal_event(at, JournalKind::BreakerTrip, id);
+                    self.log.record(at, EventKind::BreakerTrip, id);
                 }
                 let failures = failures + 1;
                 if self.retry.may_retry(failures) {
@@ -1618,9 +1514,8 @@ impl AsyncSplitTrainer {
     /// The retry budget for one of `id`'s messages is exhausted: count the
     /// batch as lost and schedule its abandonment.
     fn give_up(&mut self, id: EndSystemId, at: SimTime) {
-        self.retry_exhausted += 1;
         self.batches_lost_per_client[id.0] += 1;
-        self.trace_event(at, TraceKind::RetryExhausted, id);
+        self.log.record(at, EventKind::RetryExhausted, id);
         self.events.schedule(at, Event::BatchAbandon(id));
     }
 
@@ -1640,23 +1535,21 @@ impl AsyncSplitTrainer {
         if self.server_busy_until > t || self.queue.is_empty() {
             return;
         }
-        let (job, discarded) = self.queue.pop_observed(t, self.telemetry.as_mut());
+        let (job, discarded) = self.queue.pop_observed(t, self.log.hub_mut());
         for msg in discarded {
-            self.trace_event(t, TraceKind::SchedulerDrop, msg.from);
-            self.journal_event(t, JournalKind::SchedulerDrop, msg.from);
+            self.log.record(t, EventKind::SchedulerDrop, msg.from);
             self.batches_lost_per_client[msg.from.0] += 1;
             // The client is still awaiting a gradient for this batch.
             self.events.schedule(t, Event::BatchAbandon(msg.from));
         }
         let Some(job) = job else { return };
         let id = job.msg.from;
-        self.trace_event(t, TraceKind::ServiceStart, id);
-        self.journal_event(t, JournalKind::ServiceStart, id);
+        self.log.record(t, EventKind::ServiceStart, id);
         let service_us = self.compute.server_batch.as_micros();
         let out = match self.server.process_observed(
             &job.msg,
             self.guard.as_ref(),
-            self.telemetry.as_mut(),
+            self.log.hub_mut(),
             service_us,
         ) {
             Ok(out) => out,
@@ -1665,15 +1558,10 @@ impl AsyncSplitTrainer {
                 // rejected the update before it touched the model.
                 // Validation is cheap, so the server stays free for the
                 // next queued job.
-                self.anomalies_rejected += 1;
-                self.trace_event(t, TraceKind::AnomalyRejected, id);
-                self.journal_event(t, JournalKind::AnomalyRejected, id);
+                self.log.record(t, EventKind::AnomalyRejected, id);
                 self.batches_lost_per_client[id.0] += 1;
-                if self
-                    .quarantine
-                    .record_anomaly_observed(id.0, t, self.telemetry.as_mut())
-                {
-                    self.trace_event(t, TraceKind::Quarantine, id);
+                if self.quarantine.record_anomaly(id.0, t) {
+                    self.log.record(t, EventKind::Quarantine, id);
                     self.resize_robust_window(t);
                 }
                 self.events.schedule(t, Event::BatchAbandon(id));
@@ -1708,12 +1596,10 @@ impl AsyncSplitTrainer {
             }
         }
         if let Some(apply) = self.server.take_robust_apply() {
-            self.robust_applies += 1;
             self.updates_trimmed += apply.trimmed as u64;
             let server_id = self.server_trace_id();
-            self.trace_event(t, TraceKind::RobustApply, server_id);
-            self.journal_event(t, JournalKind::RobustApply, server_id);
-            if let Some(hub) = &mut self.telemetry {
+            self.log.record(t, EventKind::RobustApply, server_id);
+            if let Some(hub) = self.log.hub_mut() {
                 hub.record(
                     MetricId::TrimFraction,
                     server_id.0 as u64,
@@ -1728,19 +1614,13 @@ impl AsyncSplitTrainer {
                 }
             }
             for sender in apply.outliers {
-                self.robust_outliers += 1;
                 let sid = EndSystemId(sender);
-                self.trace_event(t, TraceKind::RobustOutlier, sid);
-                self.journal_event(t, JournalKind::RobustOutlier, sid);
+                self.log.record(t, EventKind::RobustOutlier, sid);
                 // Statistical outliers accrue quarantine anomaly score
                 // exactly like NaN/RMS ingress rejections: the guard
                 // becomes attack-aware, not just corruption-aware.
-                if self.guard.is_some()
-                    && self
-                        .quarantine
-                        .record_anomaly_observed(sender, t, self.telemetry.as_mut())
-                {
-                    self.trace_event(t, TraceKind::Quarantine, sid);
+                if self.guard.is_some() && self.quarantine.record_anomaly(sender, t) {
+                    self.log.record(t, EventKind::Quarantine, sid);
                     self.resize_robust_window(t);
                 }
             }
@@ -1895,14 +1775,13 @@ mod tests {
         let trace = t.trace().expect("trace enabled");
         // 2 clients x 2 batches each: every batch arrives, is served, and
         // its gradient is delivered.
-        use stsl_simnet::TraceKind;
-        assert_eq!(trace.count(TraceKind::Arrival), 4);
-        assert_eq!(trace.count(TraceKind::ServiceStart), 4);
-        assert_eq!(trace.count(TraceKind::GradientDelivered), 4);
-        assert_eq!(trace.count(TraceKind::SchedulerDrop), 0);
-        assert_eq!(trace.count(TraceKind::NetworkDrop), 0);
-        assert_eq!(trace.count(TraceKind::Retransmit), 0);
-        assert_eq!(trace.count(TraceKind::ClientCrash), 0);
+        assert_eq!(trace.count(EventKind::Arrival), 4);
+        assert_eq!(trace.count(EventKind::ServiceStart), 4);
+        assert_eq!(trace.count(EventKind::GradientDelivered), 4);
+        assert_eq!(trace.count(EventKind::SchedulerDrop), 0);
+        assert_eq!(trace.count(EventKind::NetworkDrop), 0);
+        assert_eq!(trace.count(EventKind::Retransmit), 0);
+        assert_eq!(trace.count(EventKind::ClientCrash), 0);
         // CSV export is well-formed.
         assert_eq!(trace.to_csv().lines().count(), 13);
     }
@@ -1956,18 +1835,18 @@ mod tests {
 
         // The journal saw every protocol milestone.
         let journal = hub.journal_log();
-        assert_eq!(journal.count(JournalKind::Arrival), 4);
-        assert_eq!(journal.count(JournalKind::ServiceStart), 4);
-        assert_eq!(journal.count(JournalKind::GradientDelivered), 4);
-        assert!(journal.count(JournalKind::SnapshotEmit) > 0);
+        assert_eq!(journal.count(EventKind::Arrival), 4);
+        assert_eq!(journal.count(EventKind::ServiceStart), 4);
+        assert_eq!(journal.count(EventKind::GradientDelivered), 4);
+        assert!(journal.count(EventKind::SnapshotEmit) > 0);
         // Snapshot emissions are traced with the same discipline as every
         // other counter.
         let trace = t.trace().unwrap();
         assert_eq!(
-            trace.count(TraceKind::SnapshotEmit) as u64,
+            trace.count(EventKind::SnapshotEmit) as u64,
             r.snapshots_emitted
         );
-        assert_eq!(trace.count(TraceKind::JournalDrop), 0);
+        assert_eq!(trace.count(EventKind::JournalDrop), 0);
     }
 
     #[test]
@@ -1995,7 +1874,7 @@ mod tests {
         assert_eq!(hub.journal_log().evicted(), r.journal_dropped);
         assert_eq!(hub.journal_log().len(), 2);
         assert_eq!(
-            t.trace().unwrap().count(TraceKind::JournalDrop) as u64,
+            t.trace().unwrap().count(EventKind::JournalDrop) as u64,
             r.journal_dropped
         );
     }
@@ -2118,10 +1997,10 @@ mod tests {
         assert!(r.served_per_client[0] >= 11, "{:?}", r.served_per_client);
         assert_eq!(r.served_per_client[1], 12);
         let trace = t.trace().unwrap();
-        assert_eq!(trace.count(TraceKind::ClientCrash), 1);
-        assert_eq!(trace.count(TraceKind::ClientRecover), 1);
-        assert_eq!(trace.count(TraceKind::CheckpointRestore), 1);
-        assert!(trace.count(TraceKind::CheckpointSave) > 0);
+        assert_eq!(trace.count(EventKind::ClientCrash), 1);
+        assert_eq!(trace.count(EventKind::ClientRecover), 1);
+        assert_eq!(trace.count(EventKind::CheckpointRestore), 1);
+        assert!(trace.count(EventKind::CheckpointSave) > 0);
         assert!(t.last_checkpoint().is_some());
     }
 
@@ -2272,7 +2151,7 @@ mod tests {
         assert!(r.batches_shed > 0, "expected shedding: {:?}", r);
         assert!(r.max_queue_depth <= 1, "depth {}", r.max_queue_depth);
         assert_eq!(
-            t.trace().unwrap().count(TraceKind::IngressShed) as u64,
+            t.trace().unwrap().count(EventKind::IngressShed) as u64,
             r.batches_shed
         );
         assert_eq!(r.batches_lost, r.batches_shed);
@@ -2310,7 +2189,7 @@ mod tests {
             r
         );
         assert_eq!(
-            t.trace().unwrap().count(TraceKind::DeadlinePartialApply) as u64,
+            t.trace().unwrap().count(EventKind::DeadlinePartialApply) as u64,
             r.deadline_partial_applies
         );
         // The near client is unharmed; the straggler lost work to the
@@ -2356,7 +2235,7 @@ mod tests {
         let r = t.run(&test);
         assert!(r.breaker_trips > 0, "expected breaker trips: {:?}", r);
         assert_eq!(
-            t.trace().unwrap().count(TraceKind::BreakerTrip) as u64,
+            t.trace().unwrap().count(EventKind::BreakerTrip) as u64,
             r.breaker_trips
         );
         // The healthy client is untouched by client 0's breaker.

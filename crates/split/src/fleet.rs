@@ -36,8 +36,8 @@ use crate::scheduler::{ArrivalJob, ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use stsl_data::{ImageDataset, Partition};
 use stsl_nn::optim::Sgd;
-use stsl_simnet::{EndSystemId, EventQueue, SimDuration, SimTime, TraceKind, TraceLog};
-use stsl_telemetry::{MetricId, TelemetryHub};
+use stsl_simnet::{EndSystemId, EventLog, EventQueue, SimDuration, SimTime};
+use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 use stsl_tensor::init::derive_seed;
 
 use crate::model::{CnnArch, CutPoint};
@@ -241,8 +241,9 @@ pub struct FleetTrainer {
     server: CentralServer,
     queue: ArrivalQueue<FleetJob>,
     events: EventQueue<FleetEvent>,
-    telemetry: TelemetryHub,
-    trace: TraceLog,
+    /// Cohort steps, departures and snapshots, with the (always
+    /// attached) per-cohort telemetry hub.
+    log: EventLog,
     /// Pending non-snapshot events — the tick-liveness counter that
     /// stops the periodic snapshot from keeping a drained simulation
     /// alive forever.
@@ -252,9 +253,6 @@ pub struct FleetTrainer {
     sends_attempted: u64,
     admission_rejected: u64,
     served: u64,
-    cohort_steps: u64,
-    departures: u64,
-    snapshots_emitted: u64,
 }
 
 impl FleetTrainer {
@@ -318,6 +316,8 @@ impl FleetTrainer {
             .with_capacity(config.queue_capacity);
         let epoch = vec![0; config.cohorts];
         let step_credit = vec![0; config.cohorts];
+        let mut log = EventLog::new();
+        log.attach_hub(TelemetryHub::new(256));
         Ok(FleetTrainer {
             members,
             replicas,
@@ -327,17 +327,13 @@ impl FleetTrainer {
             server,
             queue,
             events: EventQueue::new(),
-            telemetry: TelemetryHub::new(256),
-            trace: TraceLog::with_capacity_limit(65_536),
+            log,
             pending_work: 0,
             server_busy: false,
             events_processed: 0,
             sends_attempted: 0,
             admission_rejected: 0,
             served: 0,
-            cohort_steps: 0,
-            departures: 0,
-            snapshots_emitted: 0,
             config,
         })
     }
@@ -377,14 +373,9 @@ impl FleetTrainer {
         (self.members.len() * std::mem::size_of::<FleetMember>()) as u64
     }
 
-    /// The telemetry hub (per-cohort actors only).
-    pub fn telemetry(&self) -> &TelemetryHub {
-        &self.telemetry
-    }
-
-    /// The bounded trace log (low-rate events only: cohort steps).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
+    /// The telemetry hub (per-cohort metric actors only).
+    pub fn telemetry(&self) -> Option<&TelemetryHub> {
+        self.log.hub()
     }
 
     /// Runs the simulation to completion and evaluates cohort encoders
@@ -427,7 +418,7 @@ impl FleetTrainer {
                 }
                 FleetEvent::Depart(i) => {
                     self.pending_work -= 1;
-                    self.on_depart(i);
+                    self.on_depart(now, i);
                 }
                 FleetEvent::Snapshot => self.on_snapshot(now),
             }
@@ -471,8 +462,7 @@ impl FleetTrainer {
         };
         // Bounded ingress: oldest pending jobs shed under overload; the
         // post-insert depth lands in telemetry keyed by cohort.
-        self.queue
-            .push_shed_observed(now, job, Some(&mut self.telemetry));
+        self.queue.push_shed_observed(now, job, self.log.hub_mut());
         if !self.server_busy {
             self.server_busy = true;
             let at = now + SimDuration::from_micros(self.config.serve_interval_us);
@@ -484,7 +474,7 @@ impl FleetTrainer {
         // Streamed batched ingress: drain up to one batch per wake
         // instead of waking per arrival.
         for _ in 0..self.config.ingress_batch {
-            let (job, _) = self.queue.pop_observed(now, Some(&mut self.telemetry));
+            let (job, _) = self.queue.pop_observed(now, self.log.hub_mut());
             let Some(job) = job else { break };
             self.served += 1;
             let c = job.msg.cohort as usize;
@@ -521,38 +511,41 @@ impl FleetTrainer {
         let step = self.server.process_observed(
             &msg,
             None,
-            Some(&mut self.telemetry),
+            self.log.hub_mut(),
             self.config.step_service_us,
         );
         if let Ok(out) = step {
             if self.replicas[c].apply_gradient(&out.gradient).is_err() {
                 self.replicas[c].abandon_outstanding();
             }
-            self.cohort_steps += 1;
-            self.trace
-                .record(now, TraceKind::CohortStep, EndSystemId(c));
+            self.log.record(now, EventKind::CohortStep, EndSystemId(c));
         } else {
             self.replicas[c].abandon_outstanding();
         }
     }
 
-    fn on_depart(&mut self, i: u32) {
+    fn on_depart(&mut self, now: SimTime, i: u32) {
         let m = &mut self.members[i as usize];
         if m.active {
             m.active = false;
-            self.departures += 1;
             self.live[m.cohort as usize] = self.live[m.cohort as usize].saturating_sub(1);
+            self.log
+                .record(now, EventKind::ClientLeave, EndSystemId(i as usize));
         }
     }
 
     fn on_snapshot(&mut self, now: SimTime) {
         // O(cohorts) per tick: one CohortSize sample per cohort, then
         // the registry snapshot (whose actors are all cohort-keyed).
-        for (c, &n) in self.live.iter().enumerate() {
-            self.telemetry.record(MetricId::CohortSize, c as u64, n);
+        if let Some(hub) = self.log.hub_mut() {
+            for (c, &n) in self.live.iter().enumerate() {
+                hub.record(MetricId::CohortSize, c as u64, n);
+            }
+            hub.emit_snapshot(now.as_micros());
         }
-        self.telemetry.emit_snapshot(now.as_micros());
-        self.snapshots_emitted += 1;
+        // Server-scoped events use the id one past the last end-system.
+        let server = EndSystemId(self.config.clients);
+        self.log.record(now, EventKind::SnapshotEmit, server);
         // Tick liveness: only reschedule while real work is pending,
         // so a drained simulation actually terminates.
         if self.pending_work > 0 {
@@ -591,7 +584,7 @@ impl FleetTrainer {
             admission_rejected: self.admission_rejected,
             shed: self.queue.shed(),
             served: self.served,
-            cohort_steps: self.cohort_steps,
+            cohort_steps: self.log.count(EventKind::CohortStep),
             mean_queue_depth: self.queue.mean_depth(),
             max_queue_depth: self.queue.max_depth(),
             mean_staleness_ms: self.queue.mean_wait().as_micros() as f64 / 1e3,
@@ -599,8 +592,8 @@ impl FleetTrainer {
             per_cohort_accuracy,
             model_bytes,
             per_client_state_bytes: self.per_client_state_bytes(),
-            departures: self.departures,
-            snapshots_emitted: self.snapshots_emitted,
+            departures: self.log.count(EventKind::ClientLeave),
+            snapshots_emitted: self.log.count(EventKind::SnapshotEmit),
         }
     }
 }
@@ -639,10 +632,10 @@ mod tests {
         assert!(report.sim_seconds > 0.0);
         assert!(report.snapshots_emitted > 0);
         assert_eq!(report.per_cohort_accuracy.len(), 4);
-        assert_eq!(
-            fleet.trace().count(TraceKind::CohortStep) as u64,
-            report.cohort_steps
-        );
+        // Cohort steps are counted but kept out of the journal.
+        let journal = fleet.telemetry().expect("fleet hub").journal_log();
+        assert_eq!(journal.count(EventKind::CohortStep), 0);
+        assert!(journal.count(EventKind::SnapshotEmit) > 0);
     }
 
     #[test]
@@ -682,7 +675,10 @@ mod tests {
         let test = data(16);
         let mut fleet = FleetTrainer::new(quick_config(300), &train).unwrap();
         fleet.run(&test);
-        let snap = fleet.telemetry().latest_snapshot().expect("snapshots");
+        let snap = fleet
+            .telemetry()
+            .and_then(|hub| hub.latest_snapshot())
+            .expect("snapshots");
         for metric in &snap.metrics {
             for series in &metric.series {
                 assert!(

@@ -12,7 +12,6 @@
 //! [`CheckpointRing`](crate::CheckpointRing) when training diverges anyway.
 
 use stsl_simnet::{SimDuration, SimTime};
-use stsl_telemetry::{JournalKind, TelemetryHub};
 use stsl_tensor::Tensor;
 
 /// Tuning knobs for the integrity guard. All-default values are sized for
@@ -143,9 +142,6 @@ pub struct QuarantineTracker {
     threshold: f32,
     decay: f32,
     probation: SimDuration,
-    quarantines: u64,
-    drops: u64,
-    releases: u64,
 }
 
 impl QuarantineTracker {
@@ -157,61 +153,30 @@ impl QuarantineTracker {
             threshold: cfg.quarantine_threshold,
             decay: cfg.anomaly_decay,
             probation: cfg.probation,
-            quarantines: 0,
-            drops: 0,
-            releases: 0,
         }
     }
 
-    /// Admission check at update-arrival time. Counts drops and handles
-    /// the probationary release transition.
+    /// Admission check at update-arrival time; handles the probationary
+    /// release transition. The caller records the verdict.
     ///
-    /// An `id` the tracker has never heard of (possible when the guard-off
-    /// `decode_unchecked` path lets a garbled sender field through) is
-    /// never admitted: it counts as a drop rather than a panic.
+    /// An `id` the tracker has never heard of (a garbled sender field that
+    /// survived decoding) is never admitted: it is dropped rather than a
+    /// panic.
     pub fn admit(&mut self, id: usize, at: SimTime) -> QuarantineStatus {
         let Some(until) = self.until.get_mut(id) else {
-            self.drops += 1;
             return QuarantineStatus::Dropped;
         };
         match *until {
-            Some(u) if at < u => {
-                self.drops += 1;
-                QuarantineStatus::Dropped
-            }
+            Some(u) if at < u => QuarantineStatus::Dropped,
             Some(_) => {
                 *until = None;
                 if let Some(score) = self.scores.get_mut(id) {
                     *score = 0.0;
                 }
-                self.releases += 1;
                 QuarantineStatus::Released
             }
             None => QuarantineStatus::Clear,
         }
-    }
-
-    /// [`QuarantineTracker::admit`] that also journals the quarantine
-    /// life-cycle transitions ([`JournalKind::QuarantineDrop`] /
-    /// [`JournalKind::QuarantineRelease`]) into an attached telemetry hub.
-    pub fn admit_observed(
-        &mut self,
-        id: usize,
-        at: SimTime,
-        telemetry: Option<&mut TelemetryHub>,
-    ) -> QuarantineStatus {
-        let status = self.admit(id, at);
-        if let Some(hub) = telemetry {
-            let kind = match status {
-                QuarantineStatus::Dropped => Some(JournalKind::QuarantineDrop),
-                QuarantineStatus::Released => Some(JournalKind::QuarantineRelease),
-                QuarantineStatus::Clear => None,
-            };
-            if let Some(kind) = kind {
-                hub.journal(at.as_micros(), kind, id as u64);
-            }
-        }
-        status
     }
 
     /// Records an ingress anomaly from `id`. Returns `true` when this
@@ -224,29 +189,10 @@ impl QuarantineTracker {
         *score += 1.0;
         if until.is_none() && *score >= self.threshold {
             *until = Some(at + self.probation);
-            self.quarantines += 1;
             true
         } else {
             false
         }
-    }
-
-    /// [`QuarantineTracker::record_anomaly`] that also journals the
-    /// quarantine entry ([`JournalKind::Quarantine`]) when the anomaly
-    /// trips the threshold.
-    pub fn record_anomaly_observed(
-        &mut self,
-        id: usize,
-        at: SimTime,
-        telemetry: Option<&mut TelemetryHub>,
-    ) -> bool {
-        let quarantined = self.record_anomaly(id, at);
-        if quarantined {
-            if let Some(hub) = telemetry {
-                hub.journal(at.as_micros(), JournalKind::Quarantine, id as u64);
-            }
-        }
-        quarantined
     }
 
     /// Records a clean, accepted update from `id` (decays its score).
@@ -264,21 +210,6 @@ impl QuarantineTracker {
     /// Whether `id` is quarantined at `at`.
     pub fn in_quarantine(&self, id: usize, at: SimTime) -> bool {
         matches!(self.until.get(id), Some(Some(until)) if at < *until)
-    }
-
-    /// Total quarantine entries so far.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines
-    }
-
-    /// Total updates dropped while their sender was quarantined.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Total probationary rejoins.
-    pub fn releases(&self) -> u64 {
-        self.releases
     }
 }
 
@@ -405,63 +336,28 @@ mod tests {
         assert!(!q.record_anomaly(0, t(2)));
         // Third strike trips the threshold.
         assert!(q.record_anomaly(0, t(3)));
-        assert_eq!(q.quarantines(), 1);
         assert!(q.in_quarantine(0, t(50)));
         assert_eq!(q.admit(0, t(50)), QuarantineStatus::Dropped);
-        assert_eq!(q.drops(), 1);
         // The other end-system is unaffected.
         assert_eq!(q.admit(1, t(50)), QuarantineStatus::Clear);
         // Probation expires at from + 100ms.
         assert_eq!(q.admit(0, t(103)), QuarantineStatus::Released);
-        assert_eq!(q.releases(), 1);
         assert_eq!(q.score(0), 0.0);
         assert_eq!(q.admit(0, t(104)), QuarantineStatus::Clear);
     }
 
     #[test]
     fn unknown_sender_id_is_dropped_not_a_panic() {
-        // A garbled `from` field surviving decode_unchecked must never be
+        // A garbled `from` field that survived decoding must never be
         // able to crash the server's quarantine bookkeeping.
         let mut q = QuarantineTracker::new(2, &GuardConfig::default());
         assert_eq!(q.admit(7, t(0)), QuarantineStatus::Dropped);
-        assert_eq!(q.drops(), 1);
         assert!(!q.record_anomaly(usize::MAX, t(1)));
         q.record_clean(99);
         assert_eq!(q.score(99), 0.0);
         assert!(!q.in_quarantine(99, t(2)));
-        assert_eq!(q.quarantines(), 0);
         // Known ids are unaffected.
         assert_eq!(q.admit(1, t(3)), QuarantineStatus::Clear);
-    }
-
-    #[test]
-    fn observed_quarantine_transitions_are_journaled() {
-        let cfg = GuardConfig {
-            quarantine_threshold: 2.0,
-            probation: SimDuration::from_millis(10),
-            ..GuardConfig::default()
-        };
-        let mut q = QuarantineTracker::new(1, &cfg);
-        let mut hub = TelemetryHub::new(16);
-        q.record_anomaly_observed(0, t(0), Some(&mut hub));
-        assert!(q.record_anomaly_observed(0, t(1), Some(&mut hub)));
-        assert_eq!(hub.journal_log().count(JournalKind::Quarantine), 1);
-        assert_eq!(
-            q.admit_observed(0, t(5), Some(&mut hub)),
-            QuarantineStatus::Dropped
-        );
-        assert_eq!(
-            q.admit_observed(0, t(20), Some(&mut hub)),
-            QuarantineStatus::Released
-        );
-        // Clear admissions stay out of the journal.
-        assert_eq!(
-            q.admit_observed(0, t(21), Some(&mut hub)),
-            QuarantineStatus::Clear
-        );
-        assert_eq!(hub.journal_log().count(JournalKind::QuarantineDrop), 1);
-        assert_eq!(hub.journal_log().count(JournalKind::QuarantineRelease), 1);
-        assert_eq!(hub.journal_log().len(), 3);
     }
 
     #[test]
@@ -495,7 +391,6 @@ mod tests {
         // anomalies is needed to re-quarantine.
         q.record_anomaly(0, t(21));
         assert!(q.record_anomaly(0, t(22)));
-        assert_eq!(q.quarantines(), 2);
     }
 
     #[test]

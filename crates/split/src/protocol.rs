@@ -27,9 +27,7 @@
 //! typed [`DecodeError`] instead. [`ActivationMsg::decode_lenient`] parses
 //! CRC-mismatched-but-parseable frames too and *reports* the checksum
 //! verdict instead of enforcing it — the "guard off" path used to measure
-//! what silent corruption does to training. The older
-//! [`ActivationMsg::decode_unchecked`] (which discarded the verdict
-//! entirely) is deprecated; see its docs.
+//! what silent corruption does to training.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stsl_simnet::EndSystemId;
@@ -380,21 +378,6 @@ impl ActivationMsg {
         Ok((Self::parse_payload(payload)?, crc_ok))
     }
 
-    /// Deserializes *without* verifying the checksum.
-    ///
-    /// **Deprecated**: this API discards the checksum verdict entirely, so
-    /// callers cannot even count how much corruption they let through. Use
-    /// [`ActivationMsg::decode`] when integrity matters, or
-    /// [`ActivationMsg::decode_lenient`] for the measured guard-off path.
-    /// No non-test call sites remain in the workspace.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use decode (enforced CRC) or decode_lenient (reported CRC) instead"
-    )]
-    pub fn decode_unchecked(bytes: Bytes) -> Result<Self, DecodeError> {
-        Self::decode_lenient(bytes).map(|(msg, _)| msg)
-    }
-
     fn parse_payload(mut buf: Bytes) -> Result<Self, DecodeError> {
         let from = EndSystemId(read_u32(&mut buf)? as usize);
         let epoch = read_u32(&mut buf)?;
@@ -450,17 +433,6 @@ impl GradientMsg {
     pub fn decode_lenient(bytes: Bytes) -> Result<(Self, bool), DecodeError> {
         let (payload, crc_ok) = open_frame(bytes, KIND_GRADIENT, false)?;
         Ok((Self::parse_payload(payload)?, crc_ok))
-    }
-
-    /// Deserializes *without* verifying the checksum.
-    ///
-    /// **Deprecated**: see [`ActivationMsg::decode_unchecked`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use decode (enforced CRC) or decode_lenient (reported CRC) instead"
-    )]
-    pub fn decode_unchecked(bytes: Bytes) -> Result<Self, DecodeError> {
-        Self::decode_lenient(bytes).map(|(msg, _)| msg)
     }
 
     fn parse_payload(mut buf: Bytes) -> Result<Self, DecodeError> {
@@ -626,21 +598,6 @@ mod tests {
         // Truncation stays an error on both paths.
         let cut = msg.encode().as_ref()[..40].to_vec();
         assert!(ActivationMsg::decode_lenient(Bytes::from_vec(cut)).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_decode_unchecked_still_matches_lenient() {
-        let msg = sample_activation();
-        let mut raw = msg.encode().as_ref().to_vec();
-        let idx = raw.len() - 24;
-        raw[idx] ^= 0x08;
-        let via_wrapper =
-            ActivationMsg::decode_unchecked(Bytes::from_vec(raw.clone())).expect("parseable");
-        let (via_lenient, crc_ok) =
-            ActivationMsg::decode_lenient(Bytes::from_vec(raw)).expect("parseable");
-        assert!(!crc_ok);
-        assert_eq!(via_wrapper, via_lenient);
     }
 
     #[test]

@@ -220,7 +220,6 @@ enum LinkState {
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     links: Vec<LinkState>,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -229,7 +228,6 @@ impl CircuitBreaker {
         CircuitBreaker {
             cfg,
             links: vec![LinkState::Closed { failures: 0 }; n],
-            trips: 0,
         }
     }
 
@@ -280,7 +278,6 @@ impl CircuitBreaker {
                         until: at + self.open_window(0),
                         streak: 0,
                     };
-                    self.trips += 1;
                     true
                 } else {
                     self.links[id.0] = LinkState::Closed { failures };
@@ -293,7 +290,6 @@ impl CircuitBreaker {
                     until: at + self.open_window(streak),
                     streak,
                 };
-                self.trips += 1;
                 true
             }
             // A failure reported while already open changes nothing: the
@@ -305,11 +301,6 @@ impl CircuitBreaker {
     /// Whether `id`'s link is open (deferring sends) at `at`.
     pub fn is_open(&self, id: EndSystemId, at: SimTime) -> bool {
         matches!(self.links[id.0], LinkState::Open { until, .. } if at < until)
-    }
-
-    /// Total trips (closed→open and failed-probe re-trips) over the run.
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 }
 
@@ -459,7 +450,6 @@ mod tests {
         assert!(!b.record_failure(id, t(2)));
         assert_eq!(b.allow(id, t(2)), BreakerDecision::Allow);
         assert!(b.record_failure(id, t(3)), "third failure trips");
-        assert_eq!(b.trips(), 1);
         assert!(b.is_open(id, t(50)));
         assert_eq!(b.allow(id, t(50)), BreakerDecision::Defer(t(103)));
         // The other link is unaffected.
@@ -494,7 +484,6 @@ mod tests {
         // Streak 2 would be 400 ms but caps at 300 ms.
         assert!(b.record_failure(id, t(300)));
         assert_eq!(b.allow(id, t(301)), BreakerDecision::Defer(t(600)));
-        assert_eq!(b.trips(), 3);
         // A failure reported while open neither trips nor extends.
         assert!(!b.record_failure(id, t(302)));
         assert_eq!(b.allow(id, t(303)), BreakerDecision::Defer(t(600)));

@@ -16,8 +16,8 @@ use crate::server::CentralServer;
 use stsl_data::{ImageDataset, Partition};
 use stsl_nn::metrics::RunningMean;
 use stsl_parallel::{par_map_mut, ChunkPolicy};
-use stsl_simnet::EndSystemId;
-use stsl_telemetry::{JournalKind, TelemetryHub};
+use stsl_simnet::{EndSystemId, EventLog, SimTime};
+use stsl_telemetry::{EventKind, TelemetryHub};
 use stsl_tensor::init::derive_seed;
 
 /// Error constructing a trainer.
@@ -42,9 +42,8 @@ pub struct SpatioTemporalTrainer {
     guard: Option<GuardConfig>,
     watchdog: HealthWatchdog,
     ring: CheckpointRing,
-    anomalies_rejected: u64,
-    rollbacks: u64,
-    telemetry: Option<TelemetryHub>,
+    /// Protocol events, stamped with the logical clock (server steps).
+    log: EventLog,
 }
 
 impl SpatioTemporalTrainer {
@@ -96,9 +95,7 @@ impl SpatioTemporalTrainer {
             guard: None,
             watchdog: HealthWatchdog::new(&GuardConfig::default()),
             ring: CheckpointRing::new(1),
-            anomalies_rejected: 0,
-            rollbacks: 0,
-            telemetry: None,
+            log: EventLog::new(),
         })
     }
 
@@ -107,21 +104,19 @@ impl SpatioTemporalTrainer {
     /// time: the server's global step count. One snapshot is emitted per
     /// epoch.
     pub fn enable_telemetry(&mut self, journal_capacity: usize) {
-        self.telemetry = Some(TelemetryHub::new(journal_capacity));
+        self.log.attach_hub(TelemetryHub::new(journal_capacity));
     }
 
     /// The telemetry hub, when [`enable_telemetry`](Self::enable_telemetry)
     /// was called.
     pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.telemetry.as_ref()
+        self.log.hub()
     }
 
-    /// Journals `kind` at the current logical time (server step count).
-    fn journal(&mut self, kind: JournalKind, actor: u64) {
-        let at = self.server.steps();
-        if let Some(hub) = &mut self.telemetry {
-            hub.journal(at, kind, actor);
-        }
+    /// Records `kind` at the current logical time (server step count).
+    fn record(&mut self, kind: EventKind, actor: usize) {
+        let at = SimTime::from_micros(self.server.steps());
+        self.log.record(at, kind, EndSystemId(actor));
     }
 
     /// Enables the data-plane integrity guard: incoming activations are
@@ -202,13 +197,12 @@ impl SpatioTemporalTrainer {
                 remaining = true;
                 self.comm.uplink_bytes += msg.encoded_len() as u64;
                 self.comm.uplink_messages += 1;
-                self.journal(JournalKind::ServiceStart, i as u64);
+                self.record(EventKind::ServiceStart, i);
                 let out = if let Some(g) = guard {
                     match self.server.process_guarded(msg, &g) {
                         Ok(out) => out,
                         Err(_) => {
-                            self.anomalies_rejected += 1;
-                            self.journal(JournalKind::AnomalyRejected, i as u64);
+                            self.record(EventKind::AnomalyRejected, i);
                             abandoned[i] = true;
                             grads.push(None);
                             continue;
@@ -275,9 +269,7 @@ impl SpatioTemporalTrainer {
     /// resets the watchdog. Repeated divergences walk backward through
     /// progressively older ring entries.
     fn rollback(&mut self, guard: &GuardConfig) {
-        self.rollbacks += 1;
-        let server_actor = self.clients.len() as u64;
-        self.journal(JournalKind::Rollback, server_actor);
+        self.record(EventKind::Rollback, self.clients.len());
         if let Some(ckpt) = self.ring.pop_latest() {
             self.restore(&ckpt)
                 .expect("ring checkpoints come from this deployment");
@@ -288,12 +280,12 @@ impl SpatioTemporalTrainer {
 
     /// Activations the ingress guard has rejected so far.
     pub fn anomalies_rejected(&self) -> u64 {
-        self.anomalies_rejected
+        self.log.count(EventKind::AnomalyRejected)
     }
 
     /// Watchdog rollbacks so far.
     pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
+        self.log.count(EventKind::Rollback)
     }
 
     /// The ring of recent good checkpoints (populated only while the
@@ -352,7 +344,8 @@ impl SpatioTemporalTrainer {
         }
         let mut epochs = Vec::with_capacity(self.config.epochs);
         for e in 0..self.config.epochs {
-            let (anomalies_before, rollbacks_before) = (self.anomalies_rejected, self.rollbacks);
+            let (anomalies_before, rollbacks_before) =
+                (self.anomalies_rejected(), self.rollbacks());
             let (train_loss, train_accuracy) = self.run_epoch(e);
             let test_accuracy = self.evaluate(test);
             epochs.push(EpochStats {
@@ -360,18 +353,17 @@ impl SpatioTemporalTrainer {
                 train_loss,
                 train_accuracy,
                 test_accuracy,
-                anomalies_rejected: self.anomalies_rejected - anomalies_before,
-                rollbacks: self.rollbacks - rollbacks_before,
+                anomalies_rejected: self.anomalies_rejected() - anomalies_before,
+                rollbacks: self.rollbacks() - rollbacks_before,
             });
             if self.guard.is_some() && train_loss.is_finite() {
                 let ckpt = self.checkpoint();
                 self.ring.push(ckpt);
             }
-            let server_actor = self.clients.len() as u64;
-            self.journal(JournalKind::SnapshotEmit, server_actor);
             let at = self.server.steps();
-            if let Some(hub) = &mut self.telemetry {
+            if let Some(hub) = self.log.hub_mut() {
                 hub.emit_snapshot(at);
+                self.record(EventKind::SnapshotEmit, self.clients.len());
             }
         }
         let per_client_accuracy = self.evaluate_per_client(test);
@@ -385,8 +377,8 @@ impl SpatioTemporalTrainer {
             per_client_accuracy,
             comm: self.comm,
             wall_seconds: start.seconds(),
-            anomalies_rejected: self.anomalies_rejected,
-            rollbacks: self.rollbacks,
+            anomalies_rejected: self.anomalies_rejected(),
+            rollbacks: self.rollbacks(),
         }
     }
 
@@ -524,8 +516,8 @@ mod tests {
         assert_eq!(hub.snapshots().len(), 2);
         // 32 samples, 2 clients × 16 samples → 2 batches each × 2 epochs.
         let journal = hub.journal_log();
-        assert_eq!(journal.count(JournalKind::ServiceStart), 8);
-        assert_eq!(journal.count(JournalKind::SnapshotEmit), 2);
+        assert_eq!(journal.count(EventKind::ServiceStart), 8);
+        assert_eq!(journal.count(EventKind::SnapshotEmit), 2);
         // Logical timestamps are non-decreasing server step counts.
         let stamps: Vec<u64> = journal.iter().map(|e| e.at_us).collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));

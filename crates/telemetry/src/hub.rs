@@ -1,6 +1,7 @@
 //! The [`TelemetryHub`]: the one handle instrumentation sites talk to.
 
-use crate::journal::{EventJournal, JournalKind};
+use crate::event::EventKind;
+use crate::journal::EventJournal;
 use crate::registry::{MetricId, MetricRegistry, Snapshot};
 
 /// Bundles the metric registry, the event journal and the emitted
@@ -32,7 +33,9 @@ impl TelemetryHub {
     }
 
     /// Journal an event; returns `true` if an older event was evicted.
-    pub fn journal(&mut self, at_us: u64, kind: JournalKind, actor: u64) -> bool {
+    /// The trainers journal through `stsl_simnet::EventLog::record`,
+    /// which also counts and traces that eviction.
+    pub fn journal(&mut self, at_us: u64, kind: EventKind, actor: u64) -> bool {
         self.journal.push(at_us, kind, actor)
     }
 
@@ -98,7 +101,7 @@ mod tests {
     fn hub_round_trip() {
         let mut hub = TelemetryHub::new(4);
         hub.record(MetricId::UplinkLatency, 0, 1_000);
-        assert!(!hub.journal(5, JournalKind::Arrival, 0));
+        assert!(!hub.journal(5, EventKind::Arrival, 0));
         assert_eq!(hub.emit_snapshot(10), 0);
         assert_eq!(hub.emit_snapshot(20), 1);
         assert_eq!(hub.snapshots().len(), 2);
@@ -110,7 +113,7 @@ mod tests {
     fn export_json_shape() {
         let mut hub = TelemetryHub::new(2);
         hub.record(MetricId::ServiceTime, 9, 50);
-        hub.journal(1, JournalKind::ServiceStart, 9);
+        hub.journal(1, EventKind::ServiceStart, 9);
         hub.emit_snapshot(100);
         let json = hub.export_json();
         assert!(json.starts_with("{\"snapshots\":[{\"at_us\":100,"));
@@ -124,7 +127,7 @@ mod tests {
             let mut hub = TelemetryHub::new(8);
             for i in 0..20u64 {
                 hub.record(MetricId::QueueDepth, i % 3, i);
-                hub.journal(i * 10, JournalKind::Arrival, i % 3);
+                hub.journal(i * 10, EventKind::Arrival, i % 3);
             }
             hub.emit_snapshot(500);
             hub.export_json()

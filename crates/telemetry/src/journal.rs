@@ -3,101 +3,12 @@
 //! A ring buffer of the last `capacity` simulation events, stamped with
 //! sim-time microseconds supplied by the caller (never a host clock). When
 //! full, the oldest event is evicted; [`EventJournal::push`] reports the
-//! eviction so the caller can account for it (the async trainer traces it
-//! as `TraceKind::JournalDrop` and the audit's R3 rule holds that counter
-//! to the same liveness discipline as every other drop path).
+//! eviction so the recorder can count and trace it as
+//! [`EventKind::JournalDrop`].
 
 use std::collections::VecDeque;
 
-/// What happened. Mirrors the observable protocol events of both split
-/// trainers; the journal is typed so exports cannot drift into free-form
-/// strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum JournalKind {
-    /// An activation message reached the server's arrival queue.
-    Arrival,
-    /// The server started processing a queued batch.
-    ServiceStart,
-    /// A gradient message was delivered back to its end-system.
-    GradientDelivered,
-    /// The scheduling policy discarded a queued batch.
-    SchedulerDrop,
-    /// The network lost a message.
-    NetworkDrop,
-    /// A lost message was retransmitted after a backoff.
-    Retransmit,
-    /// The ingress guard rejected an anomalous update.
-    AnomalyRejected,
-    /// An end-system entered quarantine.
-    Quarantine,
-    /// An end-system rejoined after quarantine.
-    QuarantineRelease,
-    /// An update was dropped because its sender was quarantined.
-    QuarantineDrop,
-    /// The health watchdog rolled the server back to a checkpoint.
-    Rollback,
-    /// An auto-checkpoint was taken.
-    CheckpointSave,
-    /// An end-system restored from a checkpoint after a crash.
-    CheckpointRestore,
-    /// An end-system crashed.
-    ClientCrash,
-    /// An end-system recovered.
-    ClientRecover,
-    /// A telemetry snapshot was emitted.
-    SnapshotEmit,
-    /// A new end-system joined the fleet mid-training.
-    ClientJoin,
-    /// An end-system departed the fleet.
-    ClientLeave,
-    /// A departed end-system rejoined and resynced.
-    ClientRejoin,
-    /// The bounded ingress queue shed a batch under overload.
-    IngressShed,
-    /// A per-link circuit breaker tripped open.
-    BreakerTrip,
-    /// A round deadline fired and the partial quorum was applied.
-    DeadlinePartial,
-    /// An adversarial persona poisoned an outgoing update.
-    AttackInjected,
-    /// The robust aggregator combined a full window of updates.
-    RobustApply,
-    /// The robust aggregator flagged a sender as a statistical outlier.
-    RobustOutlier,
-}
-
-impl JournalKind {
-    /// Stable snake_case label used in JSONL export.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JournalKind::Arrival => "arrival",
-            JournalKind::ServiceStart => "service_start",
-            JournalKind::GradientDelivered => "gradient_delivered",
-            JournalKind::SchedulerDrop => "scheduler_drop",
-            JournalKind::NetworkDrop => "network_drop",
-            JournalKind::Retransmit => "retransmit",
-            JournalKind::AnomalyRejected => "anomaly_rejected",
-            JournalKind::Quarantine => "quarantine",
-            JournalKind::QuarantineRelease => "quarantine_release",
-            JournalKind::QuarantineDrop => "quarantine_drop",
-            JournalKind::Rollback => "rollback",
-            JournalKind::CheckpointSave => "checkpoint_save",
-            JournalKind::CheckpointRestore => "checkpoint_restore",
-            JournalKind::ClientCrash => "client_crash",
-            JournalKind::ClientRecover => "client_recover",
-            JournalKind::SnapshotEmit => "snapshot_emit",
-            JournalKind::ClientJoin => "client_join",
-            JournalKind::ClientLeave => "client_leave",
-            JournalKind::ClientRejoin => "client_rejoin",
-            JournalKind::IngressShed => "ingress_shed",
-            JournalKind::BreakerTrip => "breaker_trip",
-            JournalKind::DeadlinePartial => "deadline_partial",
-            JournalKind::AttackInjected => "attack_injected",
-            JournalKind::RobustApply => "robust_apply",
-            JournalKind::RobustOutlier => "robust_outlier",
-        }
-    }
-}
+use crate::event::EventKind;
 
 /// One journal entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +17,7 @@ pub struct JournalEvent {
     /// synchronous trainer).
     pub at_us: u64,
     /// Event type.
-    pub kind: JournalKind,
+    pub kind: EventKind,
     /// The end-system (or server) the event is about. `u64` so
     /// fleet-scale ids are never truncated or aliased.
     pub actor: u64,
@@ -145,7 +56,7 @@ impl EventJournal {
 
     /// Append an event; returns `true` if an older event was evicted to
     /// make room.
-    pub fn push(&mut self, at_us: u64, kind: JournalKind, actor: u64) -> bool {
+    pub fn push(&mut self, at_us: u64, kind: EventKind, actor: u64) -> bool {
         let evicting = self.events.len() == self.capacity;
         if evicting {
             self.events.pop_front();
@@ -181,7 +92,7 @@ impl EventJournal {
     }
 
     /// Retained events of a given kind.
-    pub fn count(&self, kind: JournalKind) -> usize {
+    pub fn count(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
 
@@ -204,10 +115,10 @@ mod tests {
     #[test]
     fn ring_keeps_most_recent_and_reports_evictions() {
         let mut j = EventJournal::new(3);
-        assert!(!j.push(1, JournalKind::Arrival, 0));
-        assert!(!j.push(2, JournalKind::ServiceStart, 0));
-        assert!(!j.push(3, JournalKind::GradientDelivered, 0));
-        assert!(j.push(4, JournalKind::Arrival, 1));
+        assert!(!j.push(1, EventKind::Arrival, 0));
+        assert!(!j.push(2, EventKind::ServiceStart, 0));
+        assert!(!j.push(3, EventKind::GradientDelivered, 0));
+        assert!(j.push(4, EventKind::Arrival, 1));
         assert_eq!(j.len(), 3);
         assert_eq!(j.evicted(), 1);
         let first = j.iter().next().unwrap();
@@ -217,8 +128,8 @@ mod tests {
     #[test]
     fn jsonl_lines_are_stable() {
         let mut j = EventJournal::new(8);
-        j.push(1_500, JournalKind::Quarantine, 2);
-        j.push(2_500, JournalKind::Rollback, 7);
+        j.push(1_500, EventKind::Quarantine, 2);
+        j.push(2_500, EventKind::Rollback, 7);
         assert_eq!(
             j.to_jsonl(),
             "{\"at_us\":1500,\"kind\":\"quarantine\",\"actor\":2}\n\
@@ -230,19 +141,19 @@ mod tests {
     fn zero_capacity_clamps_to_one() {
         let mut j = EventJournal::new(0);
         assert_eq!(j.capacity(), 1);
-        assert!(!j.push(1, JournalKind::Arrival, 0));
-        assert!(j.push(2, JournalKind::Arrival, 0));
+        assert!(!j.push(1, EventKind::Arrival, 0));
+        assert!(j.push(2, EventKind::Arrival, 0));
         assert_eq!(j.len(), 1);
     }
 
     #[test]
     fn count_filters_by_kind() {
         let mut j = EventJournal::new(8);
-        j.push(1, JournalKind::Arrival, 0);
-        j.push(2, JournalKind::Arrival, 1);
-        j.push(3, JournalKind::NetworkDrop, 1);
-        assert_eq!(j.count(JournalKind::Arrival), 2);
-        assert_eq!(j.count(JournalKind::NetworkDrop), 1);
-        assert_eq!(j.count(JournalKind::Rollback), 0);
+        j.push(1, EventKind::Arrival, 0);
+        j.push(2, EventKind::Arrival, 1);
+        j.push(3, EventKind::NetworkDrop, 1);
+        assert_eq!(j.count(EventKind::Arrival), 2);
+        assert_eq!(j.count(EventKind::NetworkDrop), 1);
+        assert_eq!(j.count(EventKind::Rollback), 0);
     }
 }

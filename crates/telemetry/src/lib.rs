@@ -9,6 +9,8 @@
 //! * [`Histogram`] — a log-linear HDR-style histogram with a fixed bucket
 //!   layout, exact (associative, commutative, bitwise-deterministic) merge
 //!   and p50/p90/p99/max readouts;
+//! * [`EventKind`] — the one event vocabulary every trainer records, with
+//!   its stable JSONL labels and the counter-bank layout;
 //! * [`EventJournal`] — a typed, bounded ring buffer of sim-time-stamped
 //!   events with JSONL export;
 //! * [`MetricRegistry`] / [`Snapshot`] — per-metric, per-end-system
@@ -29,12 +31,12 @@
 //! # Examples
 //!
 //! ```
-//! use stsl_telemetry::{JournalKind, MetricId, TelemetryHub};
+//! use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 //!
 //! let mut hub = TelemetryHub::new(64);
 //! hub.record(MetricId::UplinkLatency, 0, 5_000);
 //! hub.record(MetricId::UplinkLatency, 0, 7_000);
-//! hub.journal(1_000, JournalKind::Arrival, 0);
+//! hub.journal(1_000, EventKind::Arrival, 0);
 //! let seq = hub.emit_snapshot(10_000);
 //! assert_eq!(seq, 0);
 //! let snap = hub.latest_snapshot().unwrap();
@@ -45,13 +47,15 @@
 #![warn(missing_docs)]
 
 mod dashboard;
+mod event;
 mod histogram;
 mod hub;
 mod journal;
 mod registry;
 
 pub use dashboard::render_dashboard;
+pub use event::EventKind;
 pub use histogram::{bucket_index, bucket_lower, Histogram, BUCKETS, SUB_BITS};
 pub use hub::TelemetryHub;
-pub use journal::{EventJournal, JournalEvent, JournalKind};
+pub use journal::{EventJournal, JournalEvent};
 pub use registry::{ActorSeries, MetricId, MetricRegistry, MetricSnapshot, Snapshot};

@@ -77,7 +77,7 @@ mod tests {
     fn telemetry_hub_reachable() {
         let mut hub = telemetry::TelemetryHub::new(8);
         hub.record(telemetry::MetricId::UplinkLatency, 0, 1_500);
-        hub.journal(10, telemetry::JournalKind::Arrival, 0);
+        hub.journal(10, telemetry::EventKind::Arrival, 0);
         let seq = hub.emit_snapshot(20);
         assert_eq!(seq, 0);
         let snap = hub.latest_snapshot().expect("snapshot emitted");

@@ -10,12 +10,13 @@
 //! the run where the adversarial machinery doesn't exist.
 
 use spatio_temporal_split_learning::simnet::{
-    AttackSpec, EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology, TraceKind,
+    AttackSpec, EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology,
 };
 use spatio_temporal_split_learning::split::{
     AggregationPolicy, AsyncSplitTrainer, ComputeModel, CutPoint, GuardConfig, SchedulingPolicy,
     SplitConfig,
 };
+use spatio_temporal_split_learning::telemetry::EventKind;
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
     spatio_temporal_split_learning::data::SyntheticCifar::new(seed)
@@ -98,12 +99,12 @@ fn adversaries_poison_only_their_own_uplinks() {
     assert!(r.attacks_injected > 0, "personas never fired: {r:?}");
     let trace = t.trace().unwrap();
     assert_eq!(
-        trace.count(TraceKind::AttackInjected) as u64,
+        trace.count(EventKind::AttackInjected) as u64,
         r.attacks_injected
     );
     for honest in 2..5 {
         assert_eq!(
-            trace.count_for(TraceKind::AttackInjected, EndSystemId(honest)),
+            trace.count_for(EventKind::AttackInjected, EndSystemId(honest)),
             0,
             "honest end-system {honest} traced as attacking"
         );
@@ -186,16 +187,16 @@ fn persistent_attacker_quarantines_via_window_verdict() {
     let r = t.run(&test);
     assert!(r.quarantines >= 1, "attacker never quarantined: {r:?}");
     let trace = t.trace().unwrap();
-    assert!(trace.count_for(TraceKind::Quarantine, EndSystemId(0)) >= 1);
+    assert!(trace.count_for(EventKind::Quarantine, EndSystemId(0)) >= 1);
     for honest in 1..5 {
         assert_eq!(
-            trace.count_for(TraceKind::Quarantine, EndSystemId(honest)),
+            trace.count_for(EventKind::Quarantine, EndSystemId(honest)),
             0,
             "honest end-system {honest} was exiled"
         );
     }
     // The flags that earned the exile came from the robust window.
-    assert!(trace.count_for(TraceKind::RobustOutlier, EndSystemId(0)) as u64 >= 4);
+    assert!(trace.count_for(EventKind::RobustOutlier, EndSystemId(0)) as u64 >= 4);
     // Excluding the exiled attacker's self-trashed encoder from the
     // average can only raise it: the active-fleet headline dominates
     // the whole-fleet mean.
@@ -230,13 +231,13 @@ fn optimizer_cadence_survives_quarantine() {
     let exile_at = trace
         .events()
         .iter()
-        .find(|e| e.kind == TraceKind::Quarantine)
+        .find(|e| e.kind == EventKind::Quarantine)
         .expect("quarantine traced")
         .at;
     let applies_after = trace
         .events()
         .iter()
-        .filter(|e| e.kind == TraceKind::RobustApply && e.at > exile_at)
+        .filter(|e| e.kind == EventKind::RobustApply && e.at > exile_at)
         .count();
     assert!(
         applies_after >= 2,
@@ -308,14 +309,14 @@ fn rejoin_does_not_launder_anomaly_score() {
     let rejoin_at = trace
         .events()
         .iter()
-        .find(|e| e.kind == TraceKind::ClientRejoin)
+        .find(|e| e.kind == EventKind::ClientRejoin)
         .expect("rejoin traced")
         .at;
     let flags_before = trace
         .events()
         .iter()
         .filter(|e| {
-            e.kind == TraceKind::RobustOutlier && e.end_system == EndSystemId(0) && e.at < rejoin_at
+            e.kind == EventKind::RobustOutlier && e.end_system == EndSystemId(0) && e.at < rejoin_at
         })
         .count();
     assert!(
@@ -326,14 +327,14 @@ fn rejoin_does_not_launder_anomaly_score() {
     let exile_at = trace
         .events()
         .iter()
-        .find(|e| e.kind == TraceKind::Quarantine && e.end_system == EndSystemId(0))
+        .find(|e| e.kind == EventKind::Quarantine && e.end_system == EndSystemId(0))
         .expect("attacker quarantine traced")
         .at;
     let flags_between = trace
         .events()
         .iter()
         .filter(|e| {
-            e.kind == TraceKind::RobustOutlier
+            e.kind == EventKind::RobustOutlier
                 && e.end_system == EndSystemId(0)
                 && e.at >= rejoin_at
                 && e.at <= exile_at

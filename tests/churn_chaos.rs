@@ -7,12 +7,13 @@
 use proptest::prelude::*;
 use spatio_temporal_split_learning::data::SyntheticCifar;
 use spatio_temporal_split_learning::simnet::{
-    EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology, TraceKind,
+    EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology,
 };
 use spatio_temporal_split_learning::split::{
     AsyncSplitTrainer, ComputeModel, CutPoint, Membership, MembershipState, SchedulingPolicy,
     SplitConfig,
 };
+use spatio_temporal_split_learning::telemetry::EventKind;
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
     SyntheticCifar::new(seed)
@@ -68,8 +69,8 @@ fn crashed_departed_rejoined_client_still_contributes() {
     assert!(r.final_accuracy.is_finite());
 
     let trace = t.trace().unwrap();
-    assert_eq!(trace.count(TraceKind::ClientLeave), 1);
-    assert_eq!(trace.count(TraceKind::ClientRejoin), 1);
+    assert_eq!(trace.count(EventKind::ClientLeave), 1);
+    assert_eq!(trace.count(EventKind::ClientRejoin), 1);
     assert!(t.membership().conserves());
 }
 

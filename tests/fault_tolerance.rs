@@ -8,12 +8,13 @@
 
 use spatio_temporal_split_learning::data::SyntheticCifar;
 use spatio_temporal_split_learning::simnet::{
-    EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology, TraceKind,
+    EndSystemId, FaultPlan, Link, SimDuration, SimTime, StarTopology,
 };
 use spatio_temporal_split_learning::split::{
     AsyncReport, AsyncSplitTrainer, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy,
     SplitConfig,
 };
+use spatio_temporal_split_learning::telemetry::EventKind;
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
     SyntheticCifar::new(seed)
@@ -63,16 +64,16 @@ fn chaos_run(seed: u64) -> (AsyncReport, String) {
     let csv = t.trace().expect("trace enabled").to_csv();
     let trace = t.trace().unwrap();
     // Crash recovery went through the checkpoint-restore path.
-    assert_eq!(trace.count(TraceKind::ClientCrash), 1);
-    assert_eq!(trace.count(TraceKind::ClientRecover), 1);
-    assert_eq!(trace.count(TraceKind::CheckpointRestore), 1);
-    assert!(trace.count(TraceKind::CheckpointSave) > 0);
+    assert_eq!(trace.count(EventKind::ClientCrash), 1);
+    assert_eq!(trace.count(EventKind::ClientRecover), 1);
+    assert_eq!(trace.count(EventKind::CheckpointRestore), 1);
+    assert!(trace.count(EventKind::CheckpointSave) > 0);
     assert_eq!(
-        trace.count(TraceKind::Retransmit) as u64,
+        trace.count(EventKind::Retransmit) as u64,
         report.retransmits
     );
     assert_eq!(
-        trace.count(TraceKind::NetworkDrop) as u64,
+        trace.count(EventKind::NetworkDrop) as u64,
         report.network_drops
     );
     (report, csv)

@@ -3,13 +3,12 @@
 //! unguarded receiver, quarantine of a poisonous end-system, and the
 //! divergence-rollback watchdog.
 
-use spatio_temporal_split_learning::simnet::{
-    FaultPlan, Link, SimDuration, SimTime, StarTopology, TraceKind,
-};
+use spatio_temporal_split_learning::simnet::{FaultPlan, Link, SimDuration, SimTime, StarTopology};
 use spatio_temporal_split_learning::split::{
     AsyncReport, AsyncSplitTrainer, ComputeModel, CutPoint, GuardConfig, RetryPolicy,
     SchedulingPolicy, SpatioTemporalTrainer, SplitConfig,
 };
+use spatio_temporal_split_learning::telemetry::EventKind;
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
     spatio_temporal_split_learning::data::SyntheticCifar::new(seed)
@@ -76,11 +75,11 @@ fn guard_detects_all_corruption_and_loses_nothing() {
     );
     let trace = t.trace().unwrap();
     assert_eq!(
-        trace.count(TraceKind::PayloadCorrupted) as u64,
+        trace.count(EventKind::PayloadCorrupted) as u64,
         r.corrupted_payloads
     );
     assert_eq!(
-        trace.count(TraceKind::CorruptRejected) as u64,
+        trace.count(EventKind::CorruptRejected) as u64,
         r.corrupted_rejected
     );
 }
@@ -121,14 +120,10 @@ fn corruption_free_runs_identical_with_and_without_guard() {
     assert_eq!(on.corrupted_payloads, 0);
 }
 
-#[test]
-fn poisonous_client_is_rejected_then_quarantined() {
-    let train = data(48, 5);
-    let test = data(16, 6);
-    let mut t = build(2, 3, FaultPlan::new(), true, &train);
-    // Client 0's private model is wrecked with huge weights (NaN would be
-    // squashed to zero by ReLU): every activation it sends norm-explodes.
-    // The wire is clean, so only ingress validation can stop the poison.
+/// Wrecks client 0's private model with huge weights (NaN would be
+/// squashed to zero by ReLU): every activation it sends norm-explodes.
+/// The wire is clean, so only ingress validation can stop the poison.
+fn poison_client_zero(t: &mut AsyncSplitTrainer) {
     let poisoned: Vec<_> = t.clients_mut()[0]
         .model_mut()
         .state_dict()
@@ -139,6 +134,14 @@ fn poisonous_client_is_rejected_then_quarantined() {
         })
         .collect();
     t.clients_mut()[0].model_mut().load_state_dict(&poisoned);
+}
+
+#[test]
+fn poisonous_client_is_rejected_then_quarantined() {
+    let train = data(48, 5);
+    let test = data(16, 6);
+    let mut t = build(2, 3, FaultPlan::new(), true, &train);
+    poison_client_zero(&mut t);
     t.enable_trace();
     let r = t.run(&test);
     assert!(
@@ -162,8 +165,69 @@ fn poisonous_client_is_rejected_then_quarantined() {
     // …and the healthy client trained unimpeded (3 epochs x 3 batches).
     assert_eq!(r.served_per_client[1], 9);
     let trace = t.trace().unwrap();
-    assert!(trace.count(TraceKind::AnomalyRejected) >= 3);
-    assert!(trace.count(TraceKind::Quarantine) >= 1);
+    assert!(trace.count(EventKind::AnomalyRejected) >= 3);
+    assert!(trace.count(EventKind::Quarantine) >= 1);
+}
+
+/// Every event goes through one recorder: the trace, the counter bank
+/// behind the report and the journal agree on every kind, including the
+/// quarantine transitions and the journal evictions they cause.
+#[test]
+fn quarantine_journaling_is_counted_and_traced() {
+    let train = data(48, 5);
+    let test = data(16, 6);
+    // A 1-slot journal: every journaled event after the first evicts.
+    let mut t = build(2, 3, FaultPlan::new(), true, &train)
+        .with_telemetry(SimDuration::from_millis(100), 1);
+    poison_client_zero(&mut t);
+    t.enable_trace();
+    let r = t.run(&test);
+    assert!(r.quarantines >= 1 && r.quarantine_drops > 0, "{r:?}");
+    let trace = t.trace().unwrap();
+    for kind in EventKind::ALL {
+        assert_eq!(
+            trace.count(kind) as u64,
+            t.event_log().count(kind),
+            "trace and bank disagree on {kind:?}"
+        );
+    }
+    assert_eq!(
+        trace.count(EventKind::JournalDrop) as u64,
+        r.journal_dropped,
+        "every eviction is traced"
+    );
+    let hub = t.telemetry().unwrap();
+    assert_eq!(hub.journal_log().evicted(), r.journal_dropped);
+    // Each quarantine transition reached the 1-slot journal, so its
+    // eviction row follows it at the same instant.
+    let events = trace.events();
+    for (i, e) in events.iter().enumerate() {
+        if matches!(e.kind, EventKind::Quarantine | EventKind::QuarantineDrop) {
+            let next = events[i + 1];
+            assert_eq!(
+                (next.kind, next.at),
+                (EventKind::JournalDrop, e.at),
+                "{e:?}"
+            );
+        }
+    }
+
+    // With room to keep them, the journal holds every transition.
+    let mut roomy = build(2, 3, FaultPlan::new(), true, &train)
+        .with_telemetry(SimDuration::from_millis(100), 4_096);
+    poison_client_zero(&mut roomy);
+    let r = roomy.run(&test);
+    assert_eq!(r.journal_dropped, 0);
+    let journal = roomy.telemetry().unwrap().journal_log();
+    assert_eq!(journal.count(EventKind::Quarantine) as u64, r.quarantines);
+    assert_eq!(
+        journal.count(EventKind::QuarantineDrop) as u64,
+        r.quarantine_drops
+    );
+    assert_eq!(
+        journal.count(EventKind::QuarantineRelease) as u64,
+        r.quarantine_releases
+    );
 }
 
 #[test]
@@ -195,7 +259,7 @@ fn watchdog_rolls_back_divergent_training() {
     t.enable_trace();
     let r = t.run(&test);
     assert!(r.rollbacks >= 1, "divergence never rolled back: {r:?}");
-    assert!(t.trace().unwrap().count(TraceKind::Rollback) >= 1);
+    assert!(t.trace().unwrap().count(EventKind::Rollback) >= 1);
 }
 
 #[test]
