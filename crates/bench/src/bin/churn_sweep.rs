@@ -158,7 +158,6 @@ fn run_overload(
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(2),
         server_batch: SimDuration::from_millis(40),
-        retry_timeout: SimDuration::from_millis(500),
     };
     let overload = OverloadConfig {
         queue_capacity: 2,

@@ -17,7 +17,7 @@ use serde::Serialize;
 use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
-    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SplitConfig,
+    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy, SplitConfig,
 };
 
 #[derive(Serialize)]
@@ -74,7 +74,6 @@ fn main() {
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(4),
         server_batch: SimDuration::from_millis(12),
-        retry_timeout: SimDuration::from_millis(400),
     };
     let policies = [
         SchedulingPolicy::Fifo,
@@ -99,7 +98,8 @@ fn main() {
                 .seed(seed);
             let mut trainer =
                 AsyncSplitTrainer::new(cfg, &train, topology.clone(), policy, compute)
-                    .expect("valid config");
+                    .expect("valid config")
+                    .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(400)));
             let r = trainer.run_with_budget(&test, Some(SimDuration::from_secs_f64(budget_s)));
             println!(
                 "  spread {:>5.0} ms  {:<22} depth {:.1} (max {:>2})  wait {:>7.1} ms  imbalance {:.3}  drops {}  acc {:.1}%",

@@ -20,7 +20,7 @@
 use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
-    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SplitConfig,
+    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy, SplitConfig,
 };
 use stsl_telemetry::{render_dashboard, MetricId};
 
@@ -54,7 +54,6 @@ fn main() {
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(4),
         server_batch: SimDuration::from_millis(10),
-        retry_timeout: SimDuration::from_millis(400),
     };
     let cfg = SplitConfig::new(CutPoint(1), clients)
         .arch(CnnArch::tiny())
@@ -64,6 +63,7 @@ fn main() {
     let mut trainer =
         AsyncSplitTrainer::new(cfg, &train, topology, SchedulingPolicy::Fifo, compute)
             .expect("valid config")
+            .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(400)))
             .with_telemetry(SimDuration::from_millis(snapshot_ms), journal_cap);
     trainer.enable_trace();
 

@@ -7,7 +7,7 @@
 //! crate provides the machinery to *measure* that claim: simulated time,
 //! a tie-stable event queue, link models (latency distribution + bandwidth
 //! serialization + loss), geographic star topologies with
-//! distance-derived latency, traffic counters, and the one event
+//! distance-derived latency, scheduled fault plans, and the one event
 //! recorder every trainer reports through.
 //!
 //! Everything is deterministic given a seed; two runs produce identical
@@ -16,16 +16,21 @@
 //! # Examples
 //!
 //! ```
-//! use stsl_simnet::{SimNetwork, StarTopology, Link, EndSystemId, Direction, SimTime};
+//! use stsl_simnet::{EndSystemId, EventQueue, Link, SimTime, StarTopology};
+//! use stsl_tensor::init::rng_from_seed;
 //!
 //! // Two hospitals: one nearby (5 ms), one across an ocean (80 ms).
 //! let topology = StarTopology::new(vec![Link::wan(5.0, 100.0), Link::wan(80.0, 100.0)]);
-//! let mut net: SimNetwork<&str> = SimNetwork::new(topology, 7);
-//! net.send(EndSystemId(0), Direction::Uplink, 1024, SimTime::ZERO, "near");
-//! net.send(EndSystemId(1), Direction::Uplink, 1024, SimTime::ZERO, "far");
-//! let (_, first) = net.recv().unwrap();
-//! assert_eq!(first.payload, "near"); // the far site arrives late — the
-//!                                    // queueing problem the paper names
+//! let mut rng = rng_from_seed(7);
+//! let mut arrivals = EventQueue::new();
+//! for (id, site) in [(EndSystemId(0), "near"), (EndSystemId(1), "far")] {
+//!     // Both sites send 1 KiB of activations at t = 0.
+//!     let took = topology.link(id).transfer(1024, &mut rng).expect("lossless link");
+//!     arrivals.schedule(SimTime::ZERO + took, site);
+//! }
+//! let (_, first) = arrivals.pop().unwrap();
+//! assert_eq!(first, "near"); // the far site arrives late — the
+//!                            // queueing problem the paper names
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +40,6 @@ mod calendar;
 mod event;
 mod fault;
 mod link;
-mod network;
 mod time;
 mod topology;
 mod trace;
@@ -43,7 +47,6 @@ mod trace;
 pub use event::{with_queue_kind, EventQueue, QueueKind};
 pub use fault::{corrupt_payload, AttackSpec, FaultEpisode, FaultKind, FaultPlan};
 pub use link::{LatencyModel, Link};
-pub use network::{Delivery, Direction, SimNetwork, TrafficCounter};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EndSystemId, GeoPoint, StarTopology};
 pub use trace::{EventLog, TraceEvent, TraceLog};

@@ -1,7 +1,7 @@
 //! Event recording: one recorder decides which sinks an event reaches.
 //!
-//! Every trainer, the fleet and [`crate::SimNetwork`] record their
-//! protocol events through an [`EventLog`]. A record always bumps the
+//! Every trainer and the fleet record their protocol events through an
+//! [`EventLog`]. A record always bumps the
 //! log's counter bank (the source of every event-count report field),
 //! appends to the [`TraceLog`] when tracing is on, and journals into the
 //! attached [`TelemetryHub`] when the kind is journaled. Experiments
@@ -166,11 +166,6 @@ impl EventLog {
     /// snapshots.
     pub fn hub_mut(&mut self) -> Option<&mut TelemetryHub> {
         self.hub.as_mut()
-    }
-
-    /// Detaches and returns the hub.
-    pub(crate) fn take_hub(&mut self) -> Option<TelemetryHub> {
-        self.hub.take()
     }
 }
 

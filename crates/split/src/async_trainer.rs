@@ -53,7 +53,7 @@ use crate::server::CentralServer;
 use crate::trainer::ConfigError;
 use bytes::Bytes;
 use rand::Rng;
-use stsl_data::{ImageDataset, Partition};
+use stsl_data::ImageDataset;
 use stsl_simnet::{
     corrupt_payload, AttackSpec, EndSystemId, EventLog, EventQueue, FaultPlan, SimDuration,
     SimTime, StarTopology, TraceLog,
@@ -71,10 +71,6 @@ pub struct ComputeModel {
     /// Time the server needs to process one batch (forward + backward +
     /// step).
     pub server_batch: SimDuration,
-    /// Legacy loss-recovery knob: the default [`RetryPolicy`] is derived
-    /// from it (see [`RetryPolicy::from_timeout`]). Override with
-    /// [`AsyncSplitTrainer::with_retry_policy`] for full control.
-    pub retry_timeout: SimDuration,
 }
 
 impl Default for ComputeModel {
@@ -82,31 +78,73 @@ impl Default for ComputeModel {
         ComputeModel {
             client_batch: SimDuration::from_millis(5),
             server_batch: SimDuration::from_millis(3),
-            retry_timeout: SimDuration::from_millis(500),
         }
     }
 }
 
+/// A protocol message on one end-system's link: smashed activations on
+/// their way up to the server, or a cut-layer gradient on its way down.
+/// Both directions share one send path.
+#[derive(Debug)]
+enum Msg {
+    Up(ActivationMsg),
+    Down(GradientMsg),
+}
+
+impl Msg {
+    /// The end-system at the far end of the message's link.
+    fn peer(&self) -> EndSystemId {
+        match self {
+            Msg::Up(m) => m.from,
+            Msg::Down(m) => m.to,
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            Msg::Up(m) => m.encoded_len(),
+            Msg::Down(m) => m.encoded_len(),
+        }
+    }
+
+    fn encode(&self) -> Bytes {
+        match self {
+            Msg::Up(m) => m.encode(),
+            Msg::Down(m) => m.encode(),
+        }
+    }
+}
+
+/// A periodic housekeeping event.
+#[derive(Debug, Clone, Copy)]
+enum Tick {
+    /// Auto-checkpoint.
+    Checkpoint,
+    /// Telemetry snapshot.
+    Snapshot,
+    /// Round deadline: check round progress and, with enough quorum,
+    /// abandon the stragglers' outstanding batches.
+    Deadline,
+}
+
 #[derive(Debug)]
 enum Event {
-    /// Activations reached the server.
-    Arrival(ActivationMsg),
-    /// A gradient reached its end-system.
-    GradArrival(GradientMsg),
+    /// A message reached its receiver: activations at the server, or a
+    /// gradient at its end-system.
+    Deliver(Msg),
     /// The server finished a batch (or a stall ended) and can pick the
     /// next queued one.
     ServerFree,
-    /// A lost activation message is retransmitted. `failures` counts the
-    /// send attempts that have already failed.
-    UplinkRetry { msg: ActivationMsg, failures: u32 },
-    /// A lost gradient message is retransmitted.
-    DownlinkRetry { msg: GradientMsg, failures: u32 },
-    /// An activation frame arrived garbled and was detected at the server
-    /// edge; `msg` is the original for retransmission.
-    CorruptUplink { msg: ActivationMsg, failures: u32 },
-    /// A gradient frame arrived garbled and was detected at the client
-    /// edge.
-    CorruptDownlink { msg: GradientMsg, failures: u32 },
+    /// A lost message is retransmitted. `failures` counts the send
+    /// attempts that have already failed.
+    Retry { msg: Msg, failures: u32 },
+    /// A frame arrived garbled and was detected at the receiving edge;
+    /// `msg` is the original for retransmission.
+    Corrupt { msg: Msg, failures: u32 },
+    /// A breaker-deferred send is re-attempted when its link half-opens.
+    /// Unlike [`Event::Retry`] nothing was lost, so it is not counted as
+    /// a retransmission.
+    Probe { msg: Msg, failures: u32 },
     /// A client's outstanding batch is lost for good; abandon it and move
     /// on to the next one.
     BatchAbandon(EndSystemId),
@@ -114,26 +152,30 @@ enum Event {
     ClientCrash(EndSystemId),
     /// A crashed end-system comes back up.
     ClientRecover(EndSystemId),
-    /// Periodic auto-checkpoint.
-    CheckpointTick,
-    /// Periodic telemetry snapshot.
-    TelemetrySnapshot,
     /// A scheduled joiner is admitted to the fleet mid-training.
     MemberJoin(EndSystemId),
     /// A member departs the fleet for good (until a scheduled rejoin).
     MemberLeave(EndSystemId),
     /// A departed member re-admits and resyncs from its last acked batch.
     MemberRejoin(EndSystemId),
-    /// Per-round deadline: check round progress and, with enough quorum,
-    /// abandon the stragglers' outstanding batches.
-    RoundDeadline,
-    /// A breaker-deferred activation send is re-attempted when its link
-    /// half-opens. Unlike [`Event::UplinkRetry`] nothing was lost, so it
-    /// is not counted as a retransmission.
-    UplinkProbe { msg: ActivationMsg, failures: u32 },
-    /// A breaker-deferred gradient send, downlink counterpart of
-    /// [`Event::UplinkProbe`].
-    DownlinkProbe { msg: GradientMsg, failures: u32 },
+    /// A periodic housekeeping tick.
+    Tick(Tick),
+}
+
+impl Event {
+    /// The end-system whose batch this event carries or abandons. Such an
+    /// event is void once that end-system has crashed (its forward cache
+    /// is gone) or left the fleet (its batch is replayed if it rejoins).
+    fn end_system(&self) -> Option<EndSystemId> {
+        match self {
+            Event::Deliver(msg)
+            | Event::Retry { msg, .. }
+            | Event::Corrupt { msg, .. }
+            | Event::Probe { msg, .. } => Some(msg.peer()),
+            Event::BatchAbandon(id) => Some(*id),
+            _ => None,
+        }
+    }
 }
 
 /// Asynchronous trainer over a simulated network.
@@ -145,50 +187,48 @@ pub struct AsyncSplitTrainer {
     compute: ComputeModel,
     server: CentralServer,
     clients: Vec<EndSystem>,
-    queue: ArrivalQueue,
-    events: EventQueue<Event>,
     link_rngs: Vec<rand::rngs::StdRng>,
     retry_rng: rand::rngs::StdRng,
-    server_busy_until: SimTime,
-    comm: CommReport,
-    client_epoch: Vec<u64>,
     /// Every protocol event goes through here: the counter bank behind
     /// the report, the optional trace and the optional telemetry hub.
     log: EventLog,
-    // Fault tolerance.
+    // Configuration set by the builders.
     fault_plan: FaultPlan,
     retry: RetryPolicy,
     liveness_timeout: SimDuration,
-    liveness: LivenessTracker,
     checkpoint_every: Option<SimDuration>,
-    ring: CheckpointRing,
-    crashed: Vec<bool>,
-    down_since: Vec<Option<SimTime>>,
-    downtime_us: Vec<u64>,
-    stall_wake: Option<SimTime>,
-    batches_lost_per_client: Vec<u64>,
-    // Data-plane integrity.
     guard: Option<GuardConfig>,
-    quarantine: QuarantineTracker,
-    watchdog: HealthWatchdog,
-    // Observability.
     telemetry_every: Option<SimDuration>,
-    // Dynamic membership & overload control.
-    membership: Membership,
     overload: Option<OverloadConfig>,
-    breaker: CircuitBreaker,
-    buckets: Vec<TokenBucket>,
     deadlines: Option<DeadlineConfig>,
-    deadline_snapshot: Vec<u64>,
-    quorum_lost: Option<QuorumLost>,
-    // Byzantine resilience.
-    attack_rngs: Vec<rand::rngs::StdRng>,
-    attack_steps: Vec<u64>,
-    updates_trimmed: u64,
     /// The window size [`AsyncSplitTrainer::with_robust_aggregation`]
     /// configured; the live window shrinks below it while senders sit in
     /// quarantine (0 = robust aggregation off).
     robust_window_base: usize,
+    // State that outlives a run: the checkpoint ring and the watchdog
+    // guard the models, which carry over from run to run.
+    ring: CheckpointRing,
+    watchdog: HealthWatchdog,
+    // Per-run state, rebuilt by `reset_run`.
+    events: EventQueue<Event>,
+    queue: ArrivalQueue,
+    server_busy_until: SimTime,
+    stall_wake: Option<SimTime>,
+    comm: CommReport,
+    client_epoch: Vec<u64>,
+    liveness: LivenessTracker,
+    crashed: Vec<bool>,
+    down_since: Vec<Option<SimTime>>,
+    downtime_us: Vec<u64>,
+    batches_lost_per_client: Vec<u64>,
+    quarantine: QuarantineTracker,
+    membership: Membership,
+    breaker: CircuitBreaker,
+    buckets: Vec<TokenBucket>,
+    deadline_snapshot: Vec<u64>,
+    attack_rngs: Vec<rand::rngs::StdRng>,
+    attack_steps: Vec<u64>,
+    updates_trimmed: u64,
     /// Periodic housekeeping events (checkpoint/snapshot/deadline ticks)
     /// currently sitting in the queue. Ticks reschedule only while the
     /// queue holds a *non-tick* event; otherwise two coexisting tick
@@ -221,33 +261,11 @@ impl AsyncSplitTrainer {
         if train.len() < config.end_systems {
             return Err(ConfigError("dataset smaller than client count".into()));
         }
-        let partition: Partition = config.partition.into();
-        let shards = partition.split(train, config.end_systems, derive_seed(config.seed, 7));
-        let (_, server_model) = config.arch.build_split(config.cut, config.seed);
-        let server = CentralServer::new(server_model, config.build_optimizer(), config.end_systems);
-        let clients: Vec<EndSystem> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let client_seed = derive_seed(config.seed, 1000 + i as u64);
-                let (client_model, _) = config.arch.build_split(config.cut, client_seed);
-                EndSystem::new(
-                    EndSystemId(i),
-                    client_model,
-                    shard,
-                    config.batch_size,
-                    config.build_optimizer(),
-                    config.augment,
-                    client_seed,
-                )
-                .with_smash_noise(config.smash_noise)
-            })
-            .collect();
+        let (server, clients) = config.build_deployment(train);
         let link_rngs = (0..config.end_systems)
             .map(|i| rng_from_seed(derive_seed(config.seed, 5000 + i as u64)))
             .collect();
         let retry_rng = rng_from_seed(derive_seed(config.seed, 6000));
-        let queue = ArrivalQueue::new(policy, config.end_systems);
         let n = config.end_systems;
         let liveness_timeout = SimDuration::from_millis(2_000);
         Ok(AsyncSplitTrainer {
@@ -257,40 +275,41 @@ impl AsyncSplitTrainer {
             compute,
             server,
             clients,
-            queue,
-            events: EventQueue::new(),
             link_rngs,
             retry_rng,
-            server_busy_until: SimTime::ZERO,
-            comm: CommReport::default(),
-            client_epoch: Vec::new(),
             log: EventLog::new(),
             fault_plan: FaultPlan::new(),
-            retry: RetryPolicy::from_timeout(compute.retry_timeout),
+            retry: RetryPolicy::from_timeout(SimDuration::from_millis(500)),
             liveness_timeout,
-            liveness: LivenessTracker::new(n, liveness_timeout),
             checkpoint_every: None,
-            ring: CheckpointRing::new(1),
-            crashed: vec![false; n],
-            down_since: vec![None; n],
-            downtime_us: vec![0; n],
-            stall_wake: None,
-            batches_lost_per_client: vec![0; n],
             guard: None,
-            quarantine: QuarantineTracker::new(n, &GuardConfig::default()),
-            watchdog: HealthWatchdog::new(&GuardConfig::default()),
             telemetry_every: None,
-            membership: Membership::new(n),
             overload: None,
+            deadlines: None,
+            robust_window_base: 0,
+            ring: CheckpointRing::new(1),
+            watchdog: HealthWatchdog::new(&GuardConfig::default()),
+            // Per-run state: `reset_run` rebuilds all of it, keeping the
+            // event queue's backing chosen here.
+            events: EventQueue::new(),
+            queue: ArrivalQueue::new(policy, n),
+            server_busy_until: SimTime::ZERO,
+            stall_wake: None,
+            comm: CommReport::default(),
+            client_epoch: Vec::new(),
+            liveness: LivenessTracker::new(n, liveness_timeout),
+            crashed: Vec::new(),
+            down_since: Vec::new(),
+            downtime_us: Vec::new(),
+            batches_lost_per_client: Vec::new(),
+            quarantine: QuarantineTracker::new(n, &GuardConfig::default()),
+            membership: Membership::new(n),
             breaker: CircuitBreaker::new(n, BreakerConfig::default()),
             buckets: Vec::new(),
-            deadlines: None,
-            deadline_snapshot: vec![0; n],
-            quorum_lost: None,
+            deadline_snapshot: Vec::new(),
             attack_rngs: Vec::new(),
-            attack_steps: vec![0; n],
+            attack_steps: Vec::new(),
             updates_trimmed: 0,
-            robust_window_base: 0,
             queued_ticks: 0,
         })
     }
@@ -303,7 +322,8 @@ impl AsyncSplitTrainer {
         self
     }
 
-    /// Overrides the retransmission policy (builder style).
+    /// Overrides the retransmission policy (builder style; default
+    /// [`RetryPolicy::from_timeout`] of 500 ms).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -338,7 +358,6 @@ impl AsyncSplitTrainer {
     /// divergence. Without the guard, corrupted frames that still parse
     /// are silently accepted — the poison the guard exists to stop.
     pub fn with_integrity_guard(mut self, guard: GuardConfig) -> Self {
-        self.quarantine = QuarantineTracker::new(self.clients.len(), &guard);
         self.watchdog = HealthWatchdog::new(&guard);
         self.ring = CheckpointRing::new(guard.ring_capacity);
         self.guard = Some(guard);
@@ -419,19 +438,6 @@ impl AsyncSplitTrainer {
     /// repeated delivery failures and half-opens on an exponential
     /// backoff schedule.
     pub fn with_overload_control(mut self, cfg: OverloadConfig) -> Self {
-        let n = self.clients.len();
-        self.queue = ArrivalQueue::new(self.policy, n).with_capacity(cfg.queue_capacity);
-        self.breaker = CircuitBreaker::new(
-            n,
-            BreakerConfig {
-                threshold: cfg.breaker_threshold,
-                base_open: SimDuration::from_millis(cfg.breaker_base_open_ms),
-                max_open: SimDuration::from_millis(cfg.breaker_max_open_ms),
-            },
-        );
-        self.buckets = (0..n)
-            .map(|_| TokenBucket::new(cfg.bucket_rate, cfg.bucket_burst))
-            .collect();
         self.overload = Some(cfg);
         self
     }
@@ -508,11 +514,20 @@ impl AsyncSplitTrainer {
         EndSystemId(self.clients.len())
     }
 
+    /// The period of `tick`, or `None` when its feature is off.
+    fn tick_interval(&self, tick: Tick) -> Option<SimDuration> {
+        match tick {
+            Tick::Checkpoint => self.checkpoint_every,
+            Tick::Snapshot => self.telemetry_every,
+            Tick::Deadline => self.deadlines.map(|d| SimDuration::from_millis(d.round_ms)),
+        }
+    }
+
     /// Schedules a periodic housekeeping tick, keeping the tick census in
     /// step with the queue.
-    fn schedule_tick(&mut self, at: SimTime, ev: Event) {
+    fn schedule_tick(&mut self, at: SimTime, tick: Tick) {
         self.queued_ticks += 1;
-        self.events.schedule(at, ev);
+        self.events.schedule(at, Event::Tick(tick));
     }
 
     /// Whether the queue holds any event that can make training progress
@@ -609,38 +624,21 @@ impl AsyncSplitTrainer {
         test: &ImageDataset,
         budget: Option<SimDuration>,
     ) -> (AsyncReport, Option<QuorumLost>) {
+        self.reset_run();
+        self.kickoff();
+        let lost = self.drain(budget).err();
+        (self.report(test), lost)
+    }
+
+    /// Resets every piece of per-run state — everything stamped with the
+    /// run's clock — so each run starts at time zero and reports only
+    /// itself. The event queue keeps the backing it was built with.
+    fn reset_run(&mut self) {
         let n = self.clients.len();
-        self.client_epoch = vec![0; n];
-        self.liveness = LivenessTracker::new(n, self.liveness_timeout);
-        for c in &mut self.clients {
-            c.begin_epoch(0);
-        }
-        // Pre-declared joiners (clients with a scheduled join episode)
-        // start dormant: they are part of the configured fleet but sit in
-        // `Joining` until their admission event fires.
-        let mut membership = Membership::new(n);
-        for (id, _) in self.fault_plan.join_events() {
-            if id.0 < n {
-                membership = membership.dormant(id.0);
-            }
-        }
-        self.membership = membership;
-        self.deadline_snapshot = vec![0; n];
-        self.log.reset_counts();
-        self.quorum_lost = None;
-        self.queued_ticks = 0;
-        // Adversary streams are derived per client and consulted only
-        // while an attack window is active, so attack-free plans keep
-        // their exact event streams (the same discipline as corruption).
-        self.attack_rngs = (0..n)
-            .map(|i| rng_from_seed(derive_seed(self.config.seed, 7000 + i as u64)))
-            .collect();
-        self.attack_steps = vec![0; n];
-        self.updates_trimmed = 0;
-        self.server.clear_robust_buffer();
+        self.events = EventQueue::with_kind(self.events.kind());
+        let mut queue = ArrivalQueue::new(self.policy, n);
         if let Some(cfg) = self.overload {
-            // Fresh breaker/bucket state per run keeps repeated runs of
-            // one trainer seed-deterministic.
+            queue = queue.with_capacity(cfg.queue_capacity);
             self.breaker = CircuitBreaker::new(
                 n,
                 BreakerConfig {
@@ -653,6 +651,51 @@ impl AsyncSplitTrainer {
                 .map(|_| TokenBucket::new(cfg.bucket_rate, cfg.bucket_burst))
                 .collect();
         }
+        self.queue = queue;
+        self.server_busy_until = SimTime::ZERO;
+        self.stall_wake = None;
+        self.comm = CommReport::default();
+        self.client_epoch = vec![0; n];
+        self.log.reset_counts();
+        self.liveness = LivenessTracker::new(n, self.liveness_timeout);
+        self.crashed = vec![false; n];
+        self.down_since = vec![None; n];
+        self.downtime_us = vec![0; n];
+        self.batches_lost_per_client = vec![0; n];
+        self.quarantine = QuarantineTracker::new(n, &self.guard.unwrap_or_default());
+        // Pre-declared joiners (clients with a scheduled join episode)
+        // start dormant: they are part of the configured fleet but sit in
+        // `Joining` until their admission event fires.
+        let mut membership = Membership::new(n);
+        for (id, _) in self.fault_plan.join_events() {
+            if id.0 < n {
+                membership = membership.dormant(id.0);
+            }
+        }
+        self.membership = membership;
+        self.deadline_snapshot = vec![0; n];
+        // Adversary streams are derived per client and consulted only
+        // while an attack window is active, so attack-free plans keep
+        // their exact event streams (the same discipline as corruption).
+        self.attack_rngs = (0..n)
+            .map(|i| rng_from_seed(derive_seed(self.config.seed, 7000 + i as u64)))
+            .collect();
+        self.attack_steps = vec![0; n];
+        self.updates_trimmed = 0;
+        self.server.clear_robust_buffer();
+        self.queued_ticks = 0;
+        for c in &mut self.clients {
+            // A batch still in flight when the previous run stopped (at
+            // its budget or on quorum loss) ended with that run.
+            c.abandon_outstanding();
+            c.begin_epoch(0);
+        }
+    }
+
+    /// Schedules the run's fault plan and periodic ticks, and launches
+    /// every client's first batch.
+    fn kickoff(&mut self) {
+        let n = self.clients.len();
         // Schedule every crash window from the fault plan.
         for (id, from, until) in self.fault_plan.crash_windows() {
             self.events.schedule(from, Event::ClientCrash(id));
@@ -674,30 +717,20 @@ impl AsyncSplitTrainer {
                 self.events.schedule(at, Event::MemberRejoin(id));
             }
         }
-        // First round deadline one round in.
-        if let Some(d) = self.deadlines {
-            self.schedule_tick(
-                SimTime::ZERO + SimDuration::from_millis(d.round_ms),
-                Event::RoundDeadline,
-            );
-        }
-        // First auto-checkpoint one interval in.
-        if let Some(iv) = self.checkpoint_every {
-            self.schedule_tick(SimTime::ZERO + iv, Event::CheckpointTick);
-        }
-        // First telemetry snapshot one interval in.
-        if let Some(iv) = self.telemetry_every {
-            self.schedule_tick(SimTime::ZERO + iv, Event::TelemetrySnapshot);
+        // Each tick stream fires first one interval in.
+        for tick in [Tick::Deadline, Tick::Checkpoint, Tick::Snapshot] {
+            if let Some(iv) = self.tick_interval(tick) {
+                self.schedule_tick(SimTime::ZERO + iv, tick);
+            }
         }
         // Kick off: every client computes its first batch at t = 0. The
         // batch forwards are independent per client, so they fan out
         // across threads; the uplinks are then sent in ascending client
         // order, so the event schedule — and with it every subsequent
         // arrival, retry, and gradient — is identical to a serial kickoff
-        // for any `STSL_THREADS`.
-        let crashed = self.crashed.clone();
-        // Dormant joiners keep their data-loader cursor untouched until
-        // admission; their first batch is produced at join time.
+        // for any `STSL_THREADS`. Dormant joiners keep their data-loader
+        // cursor untouched until admission; their first batch is
+        // produced at join time.
         let dormant: Vec<bool> = (0..n)
             .map(|i| self.membership.state(i) == Some(MembershipState::Joining))
             .collect();
@@ -705,7 +738,7 @@ impl AsyncSplitTrainer {
             &mut self.clients,
             stsl_parallel::ChunkPolicy::min_chunk(1),
             |i, c| {
-                if crashed[i] || dormant[i] || c.epoch_finished() {
+                if dormant[i] || c.epoch_finished() {
                     None
                 } else {
                     c.next_batch()
@@ -716,21 +749,22 @@ impl AsyncSplitTrainer {
             match first {
                 Some(mut msg) => {
                     self.apply_attack(&mut msg, SimTime::ZERO);
-                    self.send_uplink(msg, 0, SimTime::ZERO + self.compute.client_batch)
+                    self.send(Msg::Up(msg), 0, SimTime::ZERO + self.compute.client_batch)
                 }
-                // Degenerate cases (pre-crashed client, empty shard) take
-                // the ordinary path so epoch bookkeeping stays in one
-                // place. (Dormant joiners fall through its membership
-                // gate untouched.)
+                // An empty shard takes the ordinary path so epoch
+                // bookkeeping stays in one place. (Dormant joiners fall
+                // through its membership gate untouched.)
                 None => self.launch_next_batch(EndSystemId(i), SimTime::ZERO),
             }
         }
-        // Drain the event loop.
-        'sim: while let Some((t, event)) = self.events.pop() {
-            if let Some(b) = budget {
-                if t.since(SimTime::ZERO) > b {
-                    break;
-                }
+    }
+
+    /// Pops and handles events until the queue drains, the clock passes
+    /// `budget`, or the fleet loses its quorum.
+    fn drain(&mut self, budget: Option<SimDuration>) -> Result<(), QuorumLost> {
+        while let Some((t, event)) = self.events.pop() {
+            if budget.is_some_and(|b| t.since(SimTime::ZERO) > b) {
+                break;
             }
             for silent in self.liveness.sweep(t) {
                 // A member that went silent is suspected, not evicted: it
@@ -743,326 +777,255 @@ impl AsyncSplitTrainer {
                     self.note_membership();
                 }
             }
-            match event {
-                Event::Arrival(msg) => {
-                    let id = msg.from;
-                    if self.crashed[id.0] {
-                        // The sender crashed while the message was in
-                        // flight; its forward cache is gone, so the batch
-                        // is useless to the server.
-                        continue;
-                    }
-                    if !self.is_member(id.0) {
-                        // The sender departed while the message was in
-                        // flight; its batch is replayed if it rejoins.
-                        continue;
-                    }
-                    if self.guard.is_some() {
-                        match self.quarantine.admit(id.0, t) {
-                            QuarantineStatus::Dropped => {
-                                self.log.record(t, EventKind::QuarantineDrop, id);
-                                self.batches_lost_per_client[id.0] += 1;
-                                self.events.schedule(t, Event::BatchAbandon(id));
-                                continue;
-                            }
-                            QuarantineStatus::Released => {
-                                self.log.record(t, EventKind::QuarantineRelease, id);
-                                self.resize_robust_window(t);
-                            }
-                            QuarantineStatus::Clear => {}
-                        }
-                    }
-                    if self.liveness.observe(id, t)
-                        && self.membership.state(id.0) == Some(MembershipState::Suspect)
-                    {
-                        // The suspect spoke up: back to full membership.
-                        let _ = self.membership.transition(id.0, MembershipState::Active);
-                        self.note_membership();
-                    }
-                    if self.overload.is_some() && !self.buckets[id.0].try_take(t) {
-                        // Rate limit: the sender is over its admission
-                        // budget, so the batch is refused at the ingress
-                        // edge and never counts as an arrival.
-                        self.log.record(t, EventKind::IngressShed, id);
-                        self.batches_lost_per_client[id.0] += 1;
-                        self.events.schedule(t, Event::BatchAbandon(id));
-                        continue;
-                    }
-                    self.log.record(t, EventKind::Arrival, id);
-                    if self.overload.is_some() {
-                        let victims = self.queue.push_shed_observed(t, msg, self.log.hub_mut());
-                        for victim in victims {
-                            // Oldest-staleness-first shed: the longest-
-                            // waiting pending batch makes room.
-                            let vid = victim.from;
-                            self.log.record(t, EventKind::IngressShed, vid);
-                            self.batches_lost_per_client[vid.0] += 1;
-                            self.events.schedule(t, Event::BatchAbandon(vid));
-                        }
-                    } else {
-                        self.queue.push_observed(t, msg, self.log.hub_mut());
-                    }
-                    self.try_serve(t);
-                }
-                Event::ServerFree => {
-                    self.try_serve(t);
-                }
-                Event::GradArrival(grad) => {
-                    let id = grad.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue; // delivered into the void
-                    }
-                    self.log.record(t, EventKind::GradientDelivered, id);
-                    // A stale gradient (its batch was abandoned after a
-                    // retry exhaustion or crash) is ignored; the client
-                    // already moved on.
-                    if self.clients[id.0].apply_gradient(&grad).is_ok() {
-                        // The gradient application costs client compute
-                        // time.
-                        self.launch_next_batch(id, t + self.compute.client_batch);
-                    }
-                }
-                Event::UplinkRetry { msg, failures } => {
-                    let id = msg.from;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::Retransmit, id);
-                    self.send_uplink(msg, failures, t);
-                }
-                Event::DownlinkRetry { msg, failures } => {
-                    let id = msg.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::Retransmit, id);
-                    self.send_downlink(msg, failures, t);
-                }
-                Event::UplinkProbe { msg, failures } => {
-                    let id = msg.from;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.send_uplink(msg, failures, t);
-                }
-                Event::DownlinkProbe { msg, failures } => {
-                    let id = msg.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.send_downlink(msg, failures, t);
-                }
-                Event::CorruptUplink { msg, failures } => {
-                    let id = msg.from;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::CorruptRejected, id);
-                    let failures = failures + 1;
-                    if self.retry.may_retry(failures) {
-                        let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                        self.events
-                            .schedule(t + delay, Event::UplinkRetry { msg, failures });
-                    } else {
-                        self.give_up(id, t);
-                    }
-                }
-                Event::CorruptDownlink { msg, failures } => {
-                    let id = msg.to;
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::CorruptRejected, id);
-                    let failures = failures + 1;
-                    if self.retry.may_retry(failures) {
-                        let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                        self.events
-                            .schedule(t + delay, Event::DownlinkRetry { msg, failures });
-                    } else {
-                        self.give_up(id, t);
-                    }
-                }
-                Event::BatchAbandon(id) => {
-                    if self.crashed[id.0] || !self.is_member(id.0) {
-                        continue;
-                    }
-                    self.clients[id.0].abandon_outstanding();
-                    self.launch_next_batch(id, t);
-                }
-                Event::ClientCrash(id) => {
-                    if self.crashed[id.0] {
-                        continue; // overlapping crash windows
-                    }
-                    self.crashed[id.0] = true;
-                    self.down_since[id.0] = Some(t);
-                    self.log.record(t, EventKind::ClientCrash, id);
-                    if self.clients[id.0].outstanding().is_some() {
-                        self.clients[id.0].abandon_outstanding();
-                        self.batches_lost_per_client[id.0] += 1;
-                    }
-                }
-                Event::ClientRecover(id) => {
-                    if !self.crashed[id.0] || self.fault_plan.client_crashed(id, t) {
-                        continue; // still inside an overlapping window
-                    }
-                    self.crashed[id.0] = false;
-                    if let Some(s) = self.down_since[id.0].take() {
-                        self.downtime_us[id.0] += t.since(s).as_micros();
-                    }
-                    self.log.record(t, EventKind::ClientRecover, id);
-                    let state = self.ring.latest().map(|c| c.client_states[id.0].clone());
-                    if let Some(state) = state {
-                        // Crash-recovery restore: the private layers roll
-                        // back to the newest persisted snapshot.
-                        self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.log.record(t, EventKind::CheckpointRestore, id);
-                    }
-                    self.launch_next_batch(id, t);
-                }
-                Event::CheckpointTick => {
-                    self.queued_ticks = self.queued_ticks.saturating_sub(1);
-                    self.take_checkpoint(t);
-                    if let Some(iv) = self.checkpoint_every {
-                        // Only reschedule while the simulation still has
-                        // non-tick work; otherwise coexisting tick
-                        // streams would keep the event loop alive forever.
-                        if self.has_pending_work() {
-                            self.schedule_tick(t + iv, Event::CheckpointTick);
-                        }
-                    }
-                }
-                Event::TelemetrySnapshot => {
-                    self.queued_ticks = self.queued_ticks.saturating_sub(1);
-                    self.emit_snapshot(t);
-                    if let Some(iv) = self.telemetry_every {
-                        // Same liveness discipline as CheckpointTick.
-                        if self.has_pending_work() {
-                            self.schedule_tick(t + iv, Event::TelemetrySnapshot);
-                        }
-                    }
-                }
-                Event::MemberJoin(id) => {
-                    if self.membership.state(id.0) != Some(MembershipState::Joining)
-                        || self
-                            .membership
-                            .transition(id.0, MembershipState::Active)
-                            .is_err()
-                    {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::ClientJoin, id);
-                    self.note_membership();
-                    self.liveness.readmit(id, t);
-                    // Server-seeded warm start: clone the most-served
-                    // active member's private layers from the newest
-                    // checkpoint, so the joiner's lowers are compatible
-                    // with the co-adapted uppers instead of dragging them
-                    // back toward initialization. Without a checkpoint the
-                    // joiner keeps its fresh seed-derived init.
-                    let donor = self.warm_start_donor(id);
-                    let state = match (donor, self.ring.latest()) {
-                        (Some(d), Some(ckpt)) => Some(ckpt.client_states[d].clone()),
-                        _ => None,
-                    };
-                    if let Some(state) = state {
-                        self.clients[id.0].model_mut().load_state_dict(&state);
-                        self.log.record(t, EventKind::CheckpointRestore, id);
-                    }
-                    self.launch_next_batch(id, t);
-                }
-                Event::MemberLeave(id) => {
-                    if !matches!(
-                        self.membership.state(id.0),
-                        Some(MembershipState::Active) | Some(MembershipState::Suspect)
-                    ) || self
-                        .membership
-                        .transition(id.0, MembershipState::Departed)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.log.record(t, EventKind::ClientLeave, id);
-                    self.note_membership();
-                    self.liveness.retire(id);
-                    // The un-acked batch is rewound, not abandoned: if the
-                    // client rejoins, it resumes from its last acked batch
-                    // and replays this one.
-                    self.clients[id.0].rewind_outstanding();
-                    if let Some(lost) = self.quorum_check(t) {
-                        self.quorum_lost = Some(lost);
-                        break 'sim;
-                    }
-                }
-                Event::MemberRejoin(id) => {
-                    if self.membership.state(id.0) != Some(MembershipState::Departed)
-                        || self
-                            .membership
-                            .transition(id.0, MembershipState::Rejoining)
-                            .is_err()
-                    {
-                        continue;
-                    }
-                    // Rejoining -> Active is immediate in simulation; the
-                    // two-step keeps the lifecycle auditable.
-                    let _ = self.membership.transition(id.0, MembershipState::Active);
-                    self.log.record(t, EventKind::ClientRejoin, id);
-                    self.note_membership();
-                    self.liveness.readmit(id, t);
-                    // Resync: the cursor was rewound at departure, so the
-                    // next launch replays the exact batch whose gradient
-                    // never arrived.
-                    self.launch_next_batch(id, t);
-                }
-                Event::RoundDeadline => {
-                    self.queued_ticks = self.queued_ticks.saturating_sub(1);
-                    let Some(d) = self.deadlines else { continue };
-                    if let Some(lost) = self.quorum_check(t) {
-                        self.quorum_lost = Some(lost);
-                        break 'sim;
-                    }
-                    let members: Vec<usize> = (0..self.clients.len())
-                        .filter(|&i| self.is_member(i))
-                        .collect();
-                    let served: Vec<u64> = self.queue.served_per_client().to_vec();
-                    let progressed = members
-                        .iter()
-                        .filter(|&&i| served[i] > self.deadline_snapshot[i])
-                        .count();
-                    let needed =
-                        ((members.len() as f64) * d.min_quorum_frac).ceil().max(1.0) as usize;
-                    let stragglers: Vec<EndSystemId> = members
-                        .iter()
-                        .filter(|&&i| {
-                            served[i] <= self.deadline_snapshot[i]
-                                && self.clients[i].outstanding().is_some()
-                                && !self.crashed[i]
-                        })
-                        .map(|&i| EndSystemId(i))
-                        .collect();
-                    if progressed >= needed && !stragglers.is_empty() {
-                        // Partial-quorum apply: enough of the fleet made
-                        // progress this round, so the stragglers'
-                        // outstanding batches are abandoned instead of
-                        // holding everyone back.
-                        let server_id = self.server_trace_id();
-                        self.log
-                            .record(t, EventKind::DeadlinePartialApply, server_id);
-                        for id in stragglers {
-                            self.batches_lost_per_client[id.0] += 1;
-                            self.events.schedule(t, Event::BatchAbandon(id));
-                        }
-                    }
-                    self.deadline_snapshot.copy_from_slice(&served);
-                    // Same liveness discipline as CheckpointTick.
-                    if self.has_pending_work() {
-                        self.schedule_tick(
-                            t + SimDuration::from_millis(d.round_ms),
-                            Event::RoundDeadline,
-                        );
-                    }
+            if let Some(id) = event.end_system() {
+                if self.crashed[id.0] || !self.is_member(id.0) {
+                    continue;
                 }
             }
+            self.dispatch(t, event)?;
         }
+        Ok(())
+    }
+
+    /// Handles one event at `t`.
+    fn dispatch(&mut self, t: SimTime, event: Event) -> Result<(), QuorumLost> {
+        match event {
+            Event::Deliver(Msg::Up(msg)) => self.on_arrival(t, msg),
+            Event::Deliver(Msg::Down(grad)) => self.on_gradient(t, grad),
+            Event::ServerFree => self.try_serve(t),
+            Event::Retry { msg, failures } => {
+                self.log.record(t, EventKind::Retransmit, msg.peer());
+                self.send(msg, failures, t);
+            }
+            Event::Corrupt { msg, failures } => {
+                self.log.record(t, EventKind::CorruptRejected, msg.peer());
+                self.retry_later(msg, failures, t);
+            }
+            Event::Probe { msg, failures } => self.send(msg, failures, t),
+            Event::BatchAbandon(id) => {
+                self.clients[id.0].abandon_outstanding();
+                self.launch_next_batch(id, t);
+            }
+            Event::ClientCrash(id) => self.on_crash(t, id),
+            Event::ClientRecover(id) => self.on_recover(t, id),
+            Event::MemberJoin(id) => self.on_join(t, id),
+            Event::MemberLeave(id) => return self.on_leave(t, id),
+            Event::MemberRejoin(id) => self.on_rejoin(t, id),
+            Event::Tick(tick) => return self.on_tick(t, tick),
+        }
+        Ok(())
+    }
+
+    /// Activations reached the server: admission (quarantine, rate
+    /// limit), then the arrival queue.
+    fn on_arrival(&mut self, t: SimTime, msg: ActivationMsg) {
+        let id = msg.from;
+        if self.guard.is_some() {
+            match self.quarantine.admit(id.0, t) {
+                QuarantineStatus::Dropped => {
+                    self.log.record(t, EventKind::QuarantineDrop, id);
+                    self.lose_batch(id, t);
+                    return;
+                }
+                QuarantineStatus::Released => {
+                    self.log.record(t, EventKind::QuarantineRelease, id);
+                    self.resize_robust_window(t);
+                }
+                QuarantineStatus::Clear => {}
+            }
+        }
+        if self.liveness.observe(id, t)
+            && self.membership.state(id.0) == Some(MembershipState::Suspect)
+        {
+            // The suspect spoke up: back to full membership.
+            let _ = self.membership.transition(id.0, MembershipState::Active);
+            self.note_membership();
+        }
+        if self.overload.is_some() && !self.buckets[id.0].try_take(t) {
+            // Rate limit: the sender is over its admission budget, so the
+            // batch is refused at the ingress edge and never counts as an
+            // arrival.
+            self.log.record(t, EventKind::IngressShed, id);
+            self.lose_batch(id, t);
+            return;
+        }
+        self.log.record(t, EventKind::Arrival, id);
+        if self.overload.is_some() {
+            let victims = self.queue.push_shed_observed(t, msg, self.log.hub_mut());
+            for victim in victims {
+                // Oldest-staleness-first shed: the longest-waiting pending
+                // batch makes room.
+                self.log.record(t, EventKind::IngressShed, victim.from);
+                self.lose_batch(victim.from, t);
+            }
+        } else {
+            self.queue.push_observed(t, msg, self.log.hub_mut());
+        }
+        self.try_serve(t);
+    }
+
+    /// A gradient reached its end-system.
+    fn on_gradient(&mut self, t: SimTime, grad: GradientMsg) {
+        let id = grad.to;
+        self.log.record(t, EventKind::GradientDelivered, id);
+        // A stale gradient (its batch was abandoned after a retry
+        // exhaustion or crash) is ignored; the client already moved on.
+        if self.clients[id.0].apply_gradient(&grad).is_ok() {
+            // The gradient application costs client compute time.
+            self.launch_next_batch(id, t + self.compute.client_batch);
+        }
+    }
+
+    fn on_crash(&mut self, t: SimTime, id: EndSystemId) {
+        if self.crashed[id.0] {
+            return; // overlapping crash windows
+        }
+        self.crashed[id.0] = true;
+        self.down_since[id.0] = Some(t);
+        self.log.record(t, EventKind::ClientCrash, id);
+        if self.clients[id.0].outstanding().is_some() {
+            self.clients[id.0].abandon_outstanding();
+            self.batches_lost_per_client[id.0] += 1;
+        }
+    }
+
+    fn on_recover(&mut self, t: SimTime, id: EndSystemId) {
+        if !self.crashed[id.0] || self.fault_plan.client_crashed(id, t) {
+            return; // still inside an overlapping window
+        }
+        self.crashed[id.0] = false;
+        if let Some(s) = self.down_since[id.0].take() {
+            self.downtime_us[id.0] += t.since(s).as_micros();
+        }
+        self.log.record(t, EventKind::ClientRecover, id);
+        // Crash-recovery restore: the private layers roll back to the
+        // newest persisted snapshot.
+        self.restore_client(t, id, id.0);
+        self.launch_next_batch(id, t);
+    }
+
+    fn on_join(&mut self, t: SimTime, id: EndSystemId) {
+        if self.membership.state(id.0) != Some(MembershipState::Joining)
+            || self
+                .membership
+                .transition(id.0, MembershipState::Active)
+                .is_err()
+        {
+            return;
+        }
+        self.log.record(t, EventKind::ClientJoin, id);
+        self.note_membership();
+        self.liveness.readmit(id, t);
+        // Server-seeded warm start: clone the most-served active member's
+        // private layers from the newest checkpoint, so the joiner's
+        // lowers are compatible with the co-adapted uppers instead of
+        // dragging them back toward initialization. Without a checkpoint
+        // the joiner keeps its fresh seed-derived init.
+        if let Some(donor) = self.warm_start_donor(id) {
+            self.restore_client(t, id, donor);
+        }
+        self.launch_next_batch(id, t);
+    }
+
+    fn on_leave(&mut self, t: SimTime, id: EndSystemId) -> Result<(), QuorumLost> {
+        if !self.is_member(id.0)
+            || self
+                .membership
+                .transition(id.0, MembershipState::Departed)
+                .is_err()
+        {
+            return Ok(());
+        }
+        self.log.record(t, EventKind::ClientLeave, id);
+        self.note_membership();
+        self.liveness.retire(id);
+        // The un-acked batch is rewound, not abandoned: if the client
+        // rejoins, it resumes from its last acked batch and replays this
+        // one.
+        self.clients[id.0].rewind_outstanding();
+        self.quorum_check(t)
+    }
+
+    fn on_rejoin(&mut self, t: SimTime, id: EndSystemId) {
+        if self.membership.state(id.0) != Some(MembershipState::Departed)
+            || self
+                .membership
+                .transition(id.0, MembershipState::Rejoining)
+                .is_err()
+        {
+            return;
+        }
+        // Rejoining -> Active is immediate in simulation; the two-step
+        // keeps the lifecycle auditable.
+        let _ = self.membership.transition(id.0, MembershipState::Active);
+        self.log.record(t, EventKind::ClientRejoin, id);
+        self.note_membership();
+        self.liveness.readmit(id, t);
+        // Resync: the cursor was rewound at departure, so the next launch
+        // replays the exact batch whose gradient never arrived.
+        self.launch_next_batch(id, t);
+    }
+
+    /// Does a tick's work, then reschedules it one interval later — but
+    /// only while the simulation still has non-tick work; otherwise
+    /// coexisting tick streams would keep the event loop alive forever.
+    fn on_tick(&mut self, t: SimTime, tick: Tick) -> Result<(), QuorumLost> {
+        self.queued_ticks = self.queued_ticks.saturating_sub(1);
+        match tick {
+            Tick::Checkpoint => self.take_checkpoint(t),
+            Tick::Snapshot => self.emit_snapshot(t),
+            Tick::Deadline => self.round_deadline(t)?,
+        }
+        if let Some(iv) = self.tick_interval(tick) {
+            if self.has_pending_work() {
+                self.schedule_tick(t + iv, tick);
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks round progress at a deadline: with enough of the fleet
+    /// served this round, the stragglers' outstanding batches are
+    /// abandoned instead of holding everyone back (a partial-quorum
+    /// apply).
+    fn round_deadline(&mut self, t: SimTime) -> Result<(), QuorumLost> {
+        let Some(d) = self.deadlines else {
+            return Ok(());
+        };
+        self.quorum_check(t)?;
+        let members: Vec<usize> = (0..self.clients.len())
+            .filter(|&i| self.is_member(i))
+            .collect();
+        let served: Vec<u64> = self.queue.served_per_client().to_vec();
+        let progressed = members
+            .iter()
+            .filter(|&&i| served[i] > self.deadline_snapshot[i])
+            .count();
+        let needed = ((members.len() as f64) * d.min_quorum_frac).ceil().max(1.0) as usize;
+        let stragglers: Vec<EndSystemId> = members
+            .iter()
+            .filter(|&&i| {
+                served[i] <= self.deadline_snapshot[i]
+                    && self.clients[i].outstanding().is_some()
+                    && !self.crashed[i]
+            })
+            .map(|&i| EndSystemId(i))
+            .collect();
+        if progressed >= needed && !stragglers.is_empty() {
+            let server_id = self.server_trace_id();
+            self.log
+                .record(t, EventKind::DeadlinePartialApply, server_id);
+            for id in stragglers {
+                self.lose_batch(id, t);
+            }
+        }
+        self.deadline_snapshot.copy_from_slice(&served);
+        Ok(())
+    }
+
+    /// Builds the report once the event loop has stopped, evaluating every
+    /// end-system's encoder with the shared uppers on `test`.
+    fn report(&mut self, test: &ImageDataset) -> AsyncReport {
         let end = self.events.now();
         // A final snapshot so short runs (and the tail of long ones) are
         // always covered.
@@ -1102,7 +1065,7 @@ impl AsyncSplitTrainer {
             stsl_tensor::mean_f32(&active)
         };
         let count = |kind| self.log.count(kind);
-        let report = AsyncReport {
+        AsyncReport {
             policy: self.policy.to_string(),
             end_systems: self.config.end_systems,
             cut_blocks: self.config.cut.blocks(),
@@ -1146,8 +1109,7 @@ impl AsyncSplitTrainer {
             robust_outliers: count(EventKind::RobustOutlier),
             updates_trimmed: self.updates_trimmed,
             comm: self.comm,
-        };
-        (report, self.quorum_lost.take())
+        }
     }
 
     /// Whether end-system `i` currently counts toward the fleet (state
@@ -1178,13 +1140,13 @@ impl AsyncSplitTrainer {
     /// Detects quorum loss at `t`: no member remains, unfinished work is
     /// left, and no scheduled join or rejoin can ever repopulate the
     /// fleet.
-    fn quorum_check(&self, t: SimTime) -> Option<QuorumLost> {
+    fn quorum_check(&self, t: SimTime) -> Result<(), QuorumLost> {
         if self.membership.member_count() > 0 {
-            return None;
+            return Ok(());
         }
         let unfinished = (0..self.clients.len()).any(|i| !self.training_complete(i));
         if !unfinished {
-            return None;
+            return Ok(());
         }
         let repopulates = self
             .fault_plan
@@ -1193,9 +1155,9 @@ impl AsyncSplitTrainer {
             .chain(self.fault_plan.rejoin_events())
             .any(|(_, at)| at > t);
         if repopulates {
-            return None;
+            return Ok(());
         }
-        Some(QuorumLost {
+        Err(QuorumLost {
             at_us: t.as_micros(),
             joined: self.membership.joined(),
             departed: self.membership.departed(),
@@ -1217,6 +1179,16 @@ impl AsyncSplitTrainer {
             }
         }
         donor
+    }
+
+    /// Loads end-system `donor`'s private layers from the newest
+    /// checkpoint into end-system `id`, if a checkpoint exists.
+    fn restore_client(&mut self, t: SimTime, id: EndSystemId, donor: usize) {
+        let Some(state) = self.ring.latest().map(|c| c.client_states[donor].clone()) else {
+            return;
+        };
+        self.clients[id.0].model_mut().load_state_dict(&state);
+        self.log.record(t, EventKind::CheckpointRestore, id);
     }
 
     /// Snapshots the full deployment (config, server uppers, every
@@ -1293,7 +1265,7 @@ impl AsyncSplitTrainer {
             return;
         };
         self.apply_attack(&mut msg, t);
-        self.send_uplink(msg, 0, t + self.compute.client_batch);
+        self.send(Msg::Up(msg), 0, t + self.compute.client_batch);
     }
 
     /// Applies the sender's active adversarial persona (if any) to a
@@ -1344,23 +1316,33 @@ impl AsyncSplitTrainer {
         }
     }
 
-    /// Attempts one uplink transmission of `msg` at `at` (`failures` prior
-    /// attempts have been lost). On loss, schedules a backed-off
-    /// retransmission — or abandons the batch once the budget is spent.
-    fn send_uplink(&mut self, msg: ActivationMsg, failures: u32, at: SimTime) {
-        let id = msg.from;
+    /// Attempts one transmission of `msg` over its end-system's link at
+    /// `at` (`failures` prior attempts have been lost). A tripped breaker
+    /// defers the send; a loss schedules a backed-off retransmission — or
+    /// abandons the batch once the budget is spent.
+    fn send(&mut self, msg: Msg, failures: u32, at: SimTime) {
+        let id = msg.peer();
         if self.overload.is_some() {
             // A tripped breaker defers the send until its link half-opens
             // — before any comm accounting, since nothing hits the wire.
             if let BreakerDecision::Defer(until) = self.breaker.allow(id, at) {
-                self.events
-                    .schedule(until, Event::UplinkProbe { msg, failures });
+                self.events.schedule(until, Event::Probe { msg, failures });
                 return;
             }
         }
         let bytes = msg.encoded_len();
-        self.comm.uplink_bytes += bytes as u64;
-        self.comm.uplink_messages += 1;
+        let latency = match msg {
+            Msg::Up(_) => {
+                self.comm.uplink_bytes += bytes as u64;
+                self.comm.uplink_messages += 1;
+                MetricId::UplinkLatency
+            }
+            Msg::Down(_) => {
+                self.comm.downlink_bytes += bytes as u64;
+                self.comm.downlink_messages += 1;
+                MetricId::DownlinkLatency
+            }
+        };
         let link = *self.topology.link(id);
         match self
             .fault_plan
@@ -1373,15 +1355,15 @@ impl AsyncSplitTrainer {
                 let rate = self.fault_plan.corruption_rate(id, at);
                 let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
                     self.log.record(at, EventKind::PayloadCorrupted, id);
-                    self.garble_uplink(msg, failures)
+                    self.garble(msg, failures)
                 } else {
-                    Event::Arrival(msg)
+                    Event::Deliver(msg)
                 };
                 if self.overload.is_some() {
                     self.breaker.record_success(id);
                 }
                 if let Some(hub) = self.log.hub_mut() {
-                    hub.record(MetricId::UplinkLatency, id.0 as u64, dur.as_micros());
+                    hub.record(latency, id.0 as u64, dur.as_micros());
                 }
                 self.events.schedule(at + dur, deliver);
             }
@@ -1390,14 +1372,7 @@ impl AsyncSplitTrainer {
                 if self.overload.is_some() && self.breaker.record_failure(id, at) {
                     self.log.record(at, EventKind::BreakerTrip, id);
                 }
-                let failures = failures + 1;
-                if self.retry.may_retry(failures) {
-                    let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                    self.events
-                        .schedule(at + delay, Event::UplinkRetry { msg, failures });
-                } else {
-                    self.give_up(id, at);
-                }
+                self.retry_later(msg, failures, at);
             }
         }
     }
@@ -1406,116 +1381,65 @@ impl AsyncSplitTrainer {
     /// the receiving edge. With the guard on, the CRC catches the damage
     /// (barring an astronomically unlikely collision) and the frame is
     /// rejected for retransmission. With the guard off, a frame that still
-    /// parses structurally — right sender, batch, shapes and label range,
-    /// so the legacy receiver cannot tell it apart from a healthy one — is
-    /// delivered garbled: silent poison.
-    fn garble_uplink(&mut self, msg: ActivationMsg, failures: u32) -> Event {
+    /// parses structurally — right end-system, batch and shapes (and label
+    /// range, for activations), so the legacy receiver cannot tell it
+    /// apart from a healthy one — is delivered garbled: silent poison.
+    fn garble(&mut self, msg: Msg, failures: u32) -> Event {
         let mut bytes = msg.encode().as_ref().to_vec();
-        corrupt_payload(&mut bytes, &mut self.link_rngs[msg.from.0]);
+        corrupt_payload(&mut bytes, &mut self.link_rngs[msg.peer().0]);
         let wire = Bytes::from(bytes);
-        if self.guard.is_some() {
-            match ActivationMsg::decode(wire) {
-                Ok(m) => Event::Arrival(m),
-                Err(_) => Event::CorruptUplink { msg, failures },
-            }
+        let strict = self.guard.is_some();
+        let classes = self.config.arch.classes;
+        let received = match &msg {
+            Msg::Up(_) if strict => ActivationMsg::decode(wire).ok().map(Msg::Up),
+            Msg::Up(sent) => ActivationMsg::decode_lenient(wire)
+                .ok()
+                .map(|(m, _crc_ok)| m)
+                .filter(|m| {
+                    m.from == sent.from
+                        && m.batch_id == sent.batch_id
+                        && m.activations.dims() == sent.activations.dims()
+                        && m.targets.len() == sent.targets.len()
+                        && m.targets.iter().all(|&c| c < classes)
+                })
+                .map(Msg::Up),
+            Msg::Down(_) if strict => GradientMsg::decode(wire).ok().map(Msg::Down),
+            Msg::Down(sent) => GradientMsg::decode_lenient(wire)
+                .ok()
+                .map(|(m, _crc_ok)| m)
+                .filter(|m| {
+                    m.to == sent.to
+                        && m.batch_id == sent.batch_id
+                        && m.grad.dims() == sent.grad.dims()
+                })
+                .map(Msg::Down),
+        };
+        match received {
+            Some(m) => Event::Deliver(m),
+            None => Event::Corrupt { msg, failures },
+        }
+    }
+
+    /// One more send attempt of `msg` has failed at `at`: schedule a
+    /// backed-off retransmission, or — with the retry budget spent —
+    /// count the batch as lost and abandon it.
+    fn retry_later(&mut self, msg: Msg, failures: u32, at: SimTime) {
+        let failures = failures + 1;
+        if self.retry.may_retry(failures) {
+            let delay = self.retry.backoff(failures, &mut self.retry_rng);
+            self.events
+                .schedule(at + delay, Event::Retry { msg, failures });
         } else {
-            match ActivationMsg::decode_lenient(wire) {
-                Ok((m, _crc_ok))
-                    if m.from == msg.from
-                        && m.batch_id == msg.batch_id
-                        && m.activations.dims() == msg.activations.dims()
-                        && m.targets.len() == msg.targets.len()
-                        && m.targets.iter().all(|&c| c < self.config.arch.classes) =>
-                {
-                    Event::Arrival(m)
-                }
-                _ => Event::CorruptUplink { msg, failures },
-            }
+            let id = msg.peer();
+            self.log.record(at, EventKind::RetryExhausted, id);
+            self.lose_batch(id, at);
         }
     }
 
-    /// Downlink counterpart of [`AsyncSplitTrainer::garble_uplink`].
-    fn garble_downlink(&mut self, msg: GradientMsg, failures: u32) -> Event {
-        let mut bytes = msg.encode().as_ref().to_vec();
-        corrupt_payload(&mut bytes, &mut self.link_rngs[msg.to.0]);
-        let wire = Bytes::from(bytes);
-        if self.guard.is_some() {
-            match GradientMsg::decode(wire) {
-                Ok(m) => Event::GradArrival(m),
-                Err(_) => Event::CorruptDownlink { msg, failures },
-            }
-        } else {
-            match GradientMsg::decode_lenient(wire) {
-                Ok((m, _crc_ok))
-                    if m.to == msg.to
-                        && m.batch_id == msg.batch_id
-                        && m.grad.dims() == msg.grad.dims() =>
-                {
-                    Event::GradArrival(m)
-                }
-                _ => Event::CorruptDownlink { msg, failures },
-            }
-        }
-    }
-
-    /// Attempts one downlink transmission of `msg` at `at`, with the same
-    /// retransmission discipline as [`AsyncSplitTrainer::send_uplink`].
-    fn send_downlink(&mut self, msg: GradientMsg, failures: u32, at: SimTime) {
-        let id = msg.to;
-        if self.overload.is_some() {
-            // Same deferral discipline as the uplink path.
-            if let BreakerDecision::Defer(until) = self.breaker.allow(id, at) {
-                self.events
-                    .schedule(until, Event::DownlinkProbe { msg, failures });
-                return;
-            }
-        }
-        let bytes = msg.encoded_len();
-        self.comm.downlink_bytes += bytes as u64;
-        self.comm.downlink_messages += 1;
-        let link = *self.topology.link(id);
-        match self
-            .fault_plan
-            .transfer_through(&link, id, bytes, at, &mut self.link_rngs[id.0])
-        {
-            Some(dur) => {
-                let rate = self.fault_plan.corruption_rate(id, at);
-                let deliver = if rate > 0.0 && self.link_rngs[id.0].gen_bool(rate) {
-                    self.log.record(at, EventKind::PayloadCorrupted, id);
-                    self.garble_downlink(msg, failures)
-                } else {
-                    Event::GradArrival(msg)
-                };
-                if self.overload.is_some() {
-                    self.breaker.record_success(id);
-                }
-                if let Some(hub) = self.log.hub_mut() {
-                    hub.record(MetricId::DownlinkLatency, id.0 as u64, dur.as_micros());
-                }
-                self.events.schedule(at + dur, deliver);
-            }
-            None => {
-                self.log.record(at, EventKind::NetworkDrop, id);
-                if self.overload.is_some() && self.breaker.record_failure(id, at) {
-                    self.log.record(at, EventKind::BreakerTrip, id);
-                }
-                let failures = failures + 1;
-                if self.retry.may_retry(failures) {
-                    let delay = self.retry.backoff(failures, &mut self.retry_rng);
-                    self.events
-                        .schedule(at + delay, Event::DownlinkRetry { msg, failures });
-                } else {
-                    self.give_up(id, at);
-                }
-            }
-        }
-    }
-
-    /// The retry budget for one of `id`'s messages is exhausted: count the
-    /// batch as lost and schedule its abandonment.
-    fn give_up(&mut self, id: EndSystemId, at: SimTime) {
+    /// Counts `id`'s outstanding batch as lost and schedules its
+    /// abandonment at `at`.
+    fn lose_batch(&mut self, id: EndSystemId, at: SimTime) {
         self.batches_lost_per_client[id.0] += 1;
-        self.log.record(at, EventKind::RetryExhausted, id);
         self.events.schedule(at, Event::BatchAbandon(id));
     }
 
@@ -1538,9 +1462,8 @@ impl AsyncSplitTrainer {
         let (job, discarded) = self.queue.pop_observed(t, self.log.hub_mut());
         for msg in discarded {
             self.log.record(t, EventKind::SchedulerDrop, msg.from);
-            self.batches_lost_per_client[msg.from.0] += 1;
             // The client is still awaiting a gradient for this batch.
-            self.events.schedule(t, Event::BatchAbandon(msg.from));
+            self.lose_batch(msg.from, t);
         }
         let Some(job) = job else { return };
         let id = job.msg.from;
@@ -1559,12 +1482,11 @@ impl AsyncSplitTrainer {
                 // Validation is cheap, so the server stays free for the
                 // next queued job.
                 self.log.record(t, EventKind::AnomalyRejected, id);
-                self.batches_lost_per_client[id.0] += 1;
+                self.lose_batch(id, t);
                 if self.quarantine.record_anomaly(id.0, t) {
                     self.log.record(t, EventKind::Quarantine, id);
                     self.resize_robust_window(t);
                 }
-                self.events.schedule(t, Event::BatchAbandon(id));
                 self.try_serve(t);
                 return;
             }
@@ -1590,8 +1512,7 @@ impl AsyncSplitTrainer {
                 // shared model: roll back instead of propagating the
                 // gradient. The batch still cost server time.
                 self.rollback(t, &g);
-                self.batches_lost_per_client[id.0] += 1;
-                self.events.schedule(done, Event::BatchAbandon(id));
+                self.lose_batch(id, done);
                 return;
             }
         }
@@ -1625,7 +1546,7 @@ impl AsyncSplitTrainer {
                 }
             }
         }
-        self.send_downlink(out.gradient, 0, done);
+        self.send(Msg::Down(out.gradient), 0, done);
     }
 }
 
@@ -1919,6 +1840,9 @@ mod tests {
             "sim {}s",
             r.sim_seconds
         );
+        // The budget cut batches off mid-flight; a rerun starts clean.
+        let again = t.run_with_budget(&test, Some(budget));
+        assert!(again.sim_seconds <= budget.as_secs_f64() + 1.0);
         assert!(
             r.served_per_client[0] > 2 * r.served_per_client[1],
             "near client should dominate under a budget: {:?}",
@@ -1927,26 +1851,29 @@ mod tests {
         assert!(r.service_imbalance > 0.1);
     }
 
-    #[test]
-    fn staleness_policy_reports_drops_under_pressure() {
-        // Extremely slow server -> deep queue -> stale batches.
+    /// Extremely slow server -> deep queue -> stale batches.
+    fn stale_pressure_trainer() -> AsyncSplitTrainer {
         let cfg = SplitConfig::tiny(CutPoint(1), 2)
             .epochs(1)
             .batch_size(8)
             .seed(4);
         let train = data(48);
-        let test = data(20);
         let compute = ComputeModel {
             client_batch: SimDuration::from_millis(1),
             server_batch: SimDuration::from_millis(400),
-            retry_timeout: SimDuration::from_millis(100),
         };
         let top = StarTopology::uniform(2, Link::wan(1.0, 100.0));
         let policy = SchedulingPolicy::StalenessDrop {
             max_age: SimDuration::from_millis(50),
         };
-        let mut t = AsyncSplitTrainer::new(cfg, &train, top, policy, compute).unwrap();
-        let r = t.run(&test);
+        AsyncSplitTrainer::new(cfg, &train, top, policy, compute)
+            .unwrap()
+            .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(100)))
+    }
+
+    #[test]
+    fn staleness_policy_reports_drops_under_pressure() {
+        let r = stale_pressure_trainer().run(&data(20));
         assert!(
             r.scheduler_drops > 0,
             "expected stale drops, report {:?}",
@@ -1954,6 +1881,27 @@ mod tests {
         );
         // Scheduler discards count as lost work too.
         assert_eq!(r.batches_lost, r.scheduler_drops);
+    }
+
+    #[test]
+    fn each_run_reports_only_itself() {
+        // A second run on the same trainer starts from a fresh clock,
+        // queue and loss ledger: its report accounts for exactly its own
+        // six batches (2 clients x 3), not the first run's as well.
+        let test = data(20);
+        let mut t = stale_pressure_trainer();
+        let first = t.run(&test);
+        let second = t.run(&test);
+        assert!(second.scheduler_drops > 0, "{second:?}");
+        assert_eq!(second.batches_lost, second.scheduler_drops);
+        let served: u64 = second.served_per_client.iter().sum();
+        assert_eq!(served + second.batches_lost, 6);
+        assert!(
+            second.sim_seconds < 1.5 * first.sim_seconds,
+            "the second run kept the first run's clock: {} vs {}s",
+            second.sim_seconds,
+            first.sim_seconds
+        );
     }
 
     #[test]
@@ -2135,11 +2083,11 @@ mod tests {
         let compute = ComputeModel {
             client_batch: SimDuration::from_millis(1),
             server_batch: SimDuration::from_millis(500),
-            retry_timeout: SimDuration::from_millis(100),
         };
         let top = StarTopology::uniform(3, Link::wan(1.0, 100.0));
         let mut t = AsyncSplitTrainer::new(cfg, &train, top, SchedulingPolicy::Fifo, compute)
             .unwrap()
+            .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(100)))
             .with_overload_control(OverloadConfig {
                 queue_capacity: 1,
                 bucket_rate: 1_000,

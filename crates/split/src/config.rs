@@ -1,8 +1,12 @@
 //! Configuration for spatio-temporal split-learning runs.
 
+use crate::client::EndSystem;
 use crate::model::{CnnArch, CutPoint};
+use crate::server::CentralServer;
 use serde::{Deserialize, Serialize};
-use stsl_data::Partition;
+use stsl_data::{ImageDataset, Partition};
+use stsl_simnet::EndSystemId;
+use stsl_tensor::init::derive_seed;
 
 /// Which optimizer trains both the server part and every end-system part.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -281,6 +285,36 @@ impl SplitConfig {
             }
             OptimizerKind::Adam => Box::new(stsl_nn::optim::Adam::new(self.learning_rate)),
         }
+    }
+
+    /// Builds the deployment every trainer starts from: `train` carved
+    /// into one shard per end-system (seed stream 7), the server's upper
+    /// layers from `seed`, and end-system `i`'s private lower layers from
+    /// seed stream `1000 + i`.
+    pub(crate) fn build_deployment(&self, train: &ImageDataset) -> (CentralServer, Vec<EndSystem>) {
+        let partition: Partition = self.partition.into();
+        let shards = partition.split(train, self.end_systems, derive_seed(self.seed, 7));
+        let (_, server_model) = self.arch.build_split(self.cut, self.seed);
+        let server = CentralServer::new(server_model, self.build_optimizer(), self.end_systems);
+        let clients = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let client_seed = derive_seed(self.seed, 1000 + i as u64);
+                let (client_model, _) = self.arch.build_split(self.cut, client_seed);
+                EndSystem::new(
+                    EndSystemId(i),
+                    client_model,
+                    shard,
+                    self.batch_size,
+                    self.build_optimizer(),
+                    self.augment,
+                    client_seed,
+                )
+                .with_smash_noise(self.smash_noise)
+            })
+            .collect();
+        (server, clients)
     }
 }
 

@@ -30,12 +30,12 @@
 //! across `STSL_THREADS` values.
 
 use crate::client::EndSystem;
+use crate::config::{OptimizerKind, SplitConfig};
 use crate::protocol::ActivationMsg;
 use crate::report::FleetReport;
 use crate::scheduler::{ArrivalJob, ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
-use stsl_data::{ImageDataset, Partition};
-use stsl_nn::optim::Sgd;
+use stsl_data::ImageDataset;
 use stsl_simnet::{EndSystemId, EventLog, EventQueue, SimDuration, SimTime};
 use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 use stsl_tensor::init::derive_seed;
@@ -273,30 +273,13 @@ impl FleetTrainer {
                 config.cohorts
             ));
         }
-        let shards = Partition::Iid.split(train, config.cohorts, derive_seed(config.seed, 7));
-        let (_, server_model) = config.arch.build_split(config.cut, config.seed);
-        let server = CentralServer::new(
-            server_model,
-            Box::new(Sgd::new(config.learning_rate)),
-            config.cohorts,
-        );
-        let replicas: Vec<EndSystem> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(c, shard)| {
-                let cohort_seed = derive_seed(config.seed, 1000 + c as u64);
-                let (client_model, _) = config.arch.build_split(config.cut, cohort_seed);
-                EndSystem::new(
-                    EndSystemId(c),
-                    client_model,
-                    shard,
-                    config.batch_size,
-                    Box::new(Sgd::new(config.learning_rate)),
-                    false,
-                    cohort_seed,
-                )
-            })
-            .collect();
+        let (server, replicas) = SplitConfig::new(config.cut, config.cohorts)
+            .arch(config.arch.clone())
+            .batch_size(config.batch_size)
+            .learning_rate(config.learning_rate)
+            .optimizer(OptimizerKind::Sgd { momentum: 0.0 })
+            .seed(config.seed)
+            .build_deployment(train);
         let mut live = vec![0u64; config.cohorts];
         let members: Vec<FleetMember> = (0..config.clients)
             .map(|i| {

@@ -30,9 +30,10 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Derives a policy from the legacy single-timeout knob
-    /// ([`crate::ComputeModel::retry_timeout`]): first backoff at a
-    /// quarter of the timeout, ceiling at four timeouts, five attempts.
+    /// Derives a policy from a single loss-recovery timeout: first
+    /// backoff at a quarter of the timeout, ceiling at four timeouts,
+    /// five attempts. The asynchronous trainer defaults to a 500 ms
+    /// timeout.
     pub fn from_timeout(timeout: SimDuration) -> Self {
         let quarter = (timeout.as_micros() / 4).max(1);
         RetryPolicy {

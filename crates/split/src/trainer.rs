@@ -13,7 +13,7 @@ use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::server::CentralServer;
-use stsl_data::{ImageDataset, Partition};
+use stsl_data::ImageDataset;
 use stsl_nn::metrics::RunningMean;
 use stsl_parallel::{par_map_mut, ChunkPolicy};
 use stsl_simnet::{EndSystemId, EventLog, SimTime};
@@ -65,28 +65,7 @@ impl SpatioTemporalTrainer {
                 config.end_systems
             )));
         }
-        let partition: Partition = config.partition.into();
-        let shards = partition.split(train, config.end_systems, derive_seed(config.seed, 7));
-        let (_, server_model) = config.arch.build_split(config.cut, config.seed);
-        let server = CentralServer::new(server_model, config.build_optimizer(), config.end_systems);
-        let clients = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let client_seed = derive_seed(config.seed, 1000 + i as u64);
-                let (client_model, _) = config.arch.build_split(config.cut, client_seed);
-                EndSystem::new(
-                    EndSystemId(i),
-                    client_model,
-                    shard,
-                    config.batch_size,
-                    config.build_optimizer(),
-                    config.augment,
-                    client_seed,
-                )
-                .with_smash_noise(config.smash_noise)
-            })
-            .collect();
+        let (server, clients) = config.build_deployment(train);
         Ok(SpatioTemporalTrainer {
             config,
             server,

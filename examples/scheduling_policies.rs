@@ -14,7 +14,7 @@
 use stsl_data::SyntheticCifar;
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
-    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, SchedulingPolicy, SplitConfig,
+    AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy, SplitConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(4),
         server_batch: SimDuration::from_millis(12),
-        retry_timeout: SimDuration::from_millis(400),
     };
 
     let policies = [
@@ -56,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .batch_size(16)
             .seed(9);
         let mut trainer =
-            AsyncSplitTrainer::new(config, &train, topology.clone(), policy, compute)?;
+            AsyncSplitTrainer::new(config, &train, topology.clone(), policy, compute)?
+                .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(400)));
         let r = trainer.run_with_budget(&test, Some(SimDuration::from_millis(5_000)));
         let served = r
             .served_per_client

@@ -5,7 +5,8 @@
 use spatio_temporal_split_learning::data::SyntheticCifar;
 use spatio_temporal_split_learning::simnet::{Link, SimDuration, StarTopology};
 use spatio_temporal_split_learning::split::{
-    AsyncSplitTrainer, ComputeModel, CutPoint, SchedulingPolicy, SpatioTemporalTrainer, SplitConfig,
+    AsyncSplitTrainer, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy,
+    SpatioTemporalTrainer, SplitConfig,
 };
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
@@ -63,7 +64,6 @@ fn fifo_starves_far_clients_less_than_never_but_round_robin_is_fairer() {
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(2),
         server_batch: SimDuration::from_millis(8),
-        retry_timeout: SimDuration::from_millis(400),
     };
     let run = |policy| {
         let cfg = SplitConfig::tiny(CutPoint(1), 4)
@@ -71,7 +71,8 @@ fn fifo_starves_far_clients_less_than_never_but_round_robin_is_fairer() {
             .batch_size(16)
             .seed(6);
         let mut t = AsyncSplitTrainer::new(cfg, &train, topology.clone(), policy, compute)
-            .expect("valid config");
+            .expect("valid config")
+            .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(400)));
         t.run(&test)
     };
     let fifo = run(SchedulingPolicy::Fifo);
@@ -99,7 +100,6 @@ fn staleness_drop_bounds_queue_wait() {
     let compute = ComputeModel {
         client_batch: SimDuration::from_millis(1),
         server_batch: SimDuration::from_millis(50),
-        retry_timeout: SimDuration::from_millis(100),
     };
     let max_age = SimDuration::from_millis(60);
     let cfg = SplitConfig::tiny(CutPoint(1), 4)
@@ -113,7 +113,8 @@ fn staleness_drop_bounds_queue_wait() {
         SchedulingPolicy::StalenessDrop { max_age },
         compute,
     )
-    .expect("valid config");
+    .expect("valid config")
+    .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(100)));
     let report = t.run(&test);
     assert!(
         report.mean_queue_wait_ms <= max_age.as_millis() as f64 + 1.0,
@@ -131,14 +132,14 @@ fn ideal_network_has_near_zero_sim_overhead() {
     let compute = ComputeModel {
         client_batch: SimDuration::from_micros(1),
         server_batch: SimDuration::from_micros(1),
-        retry_timeout: SimDuration::from_millis(1),
     };
     let cfg = SplitConfig::tiny(CutPoint(1), 1)
         .epochs(1)
         .batch_size(16)
         .seed(0);
     let mut t = AsyncSplitTrainer::new(cfg, &train, topology, SchedulingPolicy::Fifo, compute)
-        .expect("valid config");
+        .expect("valid config")
+        .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(1)));
     let report = t.run(&test);
     assert!(
         report.sim_seconds < 0.01,
