@@ -10,10 +10,10 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::parser::{parse_file, PanicKind, ParsedFile};
 use crate::rules::{
     in_r1_scope, in_r4_scope, in_r6_domain, in_r7_scope, in_r8_scope, in_r9_scope, is_r6_entry,
-    suppression_budget, EVENT_FILE, METRIC_FILE, METRIC_IDS, R1_BANNED_IDENTS,
-    RULE_BAD_SUPPRESSION, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
-    RULE_FORBID_UNSAFE, RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM,
-    RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION,
+    suppression_budget, EVENT_FILE, METRIC_FILE, R1_BANNED_IDENTS, RULE_BAD_SUPPRESSION,
+    RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_FORBID_UNSAFE,
+    RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
+    RULE_UNUSED_SUPPRESSION,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -124,15 +124,9 @@ struct CounterState {
 /// Cross-file state for the metric-accounting rule (R5).
 #[derive(Debug, Default)]
 struct MetricState {
-    /// `MetricId` variants with the line each is declared on.
+    /// `MetricId` variants with the line each is declared on; empty when
+    /// the registry file was not among the inputs.
     variants: Vec<(String, usize)>,
-    /// Line of the `enum MetricId` declaration.
-    enum_line: usize,
-    /// Whether the registry file was present.
-    saw_registry: bool,
-    /// Raw registry source. Label checks read the text directly because
-    /// the lexer deliberately drops string-literal contents.
-    registry_text: String,
     /// `MetricId::X` references seen in non-test code outside the
     /// registry — proof somebody actually records the metric.
     recorded: BTreeSet<String>,
@@ -799,12 +793,9 @@ fn collect_metric_state(
     state: &mut MetricState,
 ) {
     if file.path == METRIC_FILE {
-        if let Some((line, variants)) = parse_enum(tokens, "MetricId") {
-            state.saw_registry = true;
-            state.enum_line = line;
+        if let Some((_, variants)) = parse_enum(tokens, "MetricId") {
             state.variants = variants;
         }
-        state.registry_text = file.text.clone();
         return;
     }
     for (i, t) in tokens.iter().enumerate() {
@@ -825,62 +816,15 @@ fn collect_metric_state(
     }
 }
 
-/// R5: every `MetricId` variant maps to a snapshot label, the label is
-/// exported by the registry, and somebody records the metric in non-test
-/// code. The label check reads the raw registry text because the lexer
-/// drops string-literal contents.
+/// R5: every `MetricId` variant is recorded somewhere in non-test code.
 fn check_metrics(state: &MetricState, findings: &mut Vec<Finding>) {
-    if !state.saw_registry {
-        return;
-    }
-    let mapping: BTreeMap<&str, &str> = METRIC_IDS.iter().copied().collect();
     for (variant, line) in &state.variants {
-        let Some(label) = mapping.get(variant.as_str()) else {
-            findings.push(Finding::new(
-                METRIC_FILE,
-                *line,
-                RULE_METRIC,
-                format!(
-                    "MetricId::{variant} has no snapshot-label mapping; add it to \
-                     stsl-audit rules.rs METRIC_IDS in the same PR"
-                ),
-            ));
-            continue;
-        };
-        if !state.registry_text.contains(&format!("\"{label}\"")) {
-            findings.push(Finding::new(
-                METRIC_FILE,
-                *line,
-                RULE_METRIC,
-                format!(
-                    "MetricId::{variant}'s snapshot label \"{label}\" is not exported \
-                     by the registry; every registered metric must appear in the \
-                     exported snapshot"
-                ),
-            ));
-            continue;
-        }
         if !state.recorded.contains(variant) {
             findings.push(Finding::new(
                 METRIC_FILE,
                 *line,
                 RULE_METRIC,
                 format!("MetricId::{variant} is never recorded in non-test code"),
-            ));
-        }
-    }
-    // Stale table entries point at variants that no longer exist.
-    let variant_names: BTreeSet<&str> = state.variants.iter().map(|(v, _)| v.as_str()).collect();
-    for (variant, _) in &METRIC_IDS {
-        if !variant_names.contains(variant) {
-            findings.push(Finding::new(
-                METRIC_FILE,
-                state.enum_line,
-                RULE_METRIC,
-                format!(
-                    "stsl-audit METRIC_IDS maps `{variant}`, which is not a MetricId \
-                     variant; remove the stale table entry"
-                ),
             ));
         }
     }

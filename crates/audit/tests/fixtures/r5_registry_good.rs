@@ -1,5 +1,5 @@
-//! Fixture: a registry exporting every metric the R5 table maps, shaped
-//! like the real `crates/telemetry/src/registry.rs`. Never compiled.
+//! Fixture: a registry declaring every metric, shaped like the real
+//! `crates/telemetry/src/registry.rs`. Never compiled.
 
 pub enum MetricId {
     UplinkLatency,

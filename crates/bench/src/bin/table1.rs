@@ -15,9 +15,9 @@
 
 use serde::Serialize;
 use stsl_bench::{load_data, render_table, write_results, Args};
+use stsl_data::Partition;
 use stsl_split::{
-    baselines::CentralizedTrainer, CnnArch, CutPoint, PartitionKind, SpatioTemporalTrainer,
-    SplitConfig,
+    baselines::CentralizedTrainer, CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig,
 };
 
 #[derive(Serialize)]
@@ -83,9 +83,9 @@ fn main() {
     );
 
     let partition = if dirichlet > 0.0 {
-        PartitionKind::Dirichlet { alpha: dirichlet }
+        Partition::Dirichlet { alpha: dirichlet }
     } else {
-        PartitionKind::Iid
+        Partition::Iid
     };
 
     let mut rows = Vec::new();

@@ -13,7 +13,6 @@ use stsl_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     batch_size: usize,
-    shuffle: bool,
     drop_last: bool,
     seed: u64,
 }
@@ -28,16 +27,9 @@ impl BatchPlan {
         assert!(batch_size > 0, "batch size must be positive");
         BatchPlan {
             batch_size,
-            shuffle: true,
             drop_last: false,
             seed,
         }
-    }
-
-    /// Disables shuffling (builder style) — used for evaluation.
-    pub fn sequential(mut self) -> Self {
-        self.shuffle = false;
-        self
     }
 
     /// Drops a trailing partial batch (builder style).
@@ -54,9 +46,7 @@ impl BatchPlan {
     /// Batch index lists for `epoch`.
     pub fn epoch_indices(&self, len: usize, epoch: u64) -> Vec<Vec<usize>> {
         let mut idx: Vec<usize> = (0..len).collect();
-        if self.shuffle {
-            idx.shuffle(&mut rng_from_seed(derive_seed(self.seed, epoch)));
-        }
+        idx.shuffle(&mut rng_from_seed(derive_seed(self.seed, epoch)));
         let mut batches: Vec<Vec<usize>> =
             idx.chunks(self.batch_size).map(|c| c.to_vec()).collect();
         if self.drop_last {
@@ -109,15 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_plan_is_ordered() {
-        let plan = BatchPlan::new(3, 0).sequential();
-        let batches = plan.epoch_indices(7, 9);
-        assert_eq!(batches, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
-    }
-
-    #[test]
     fn drop_last_removes_partial_batch() {
-        let plan = BatchPlan::new(3, 0).sequential().drop_last();
+        let plan = BatchPlan::new(3, 0).drop_last();
         let batches = plan.epoch_indices(7, 0);
         assert_eq!(batches.len(), 2);
         assert_eq!(plan.batches_per_epoch(7), 2);

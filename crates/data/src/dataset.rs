@@ -4,15 +4,6 @@ use rand::seq::SliceRandom;
 use stsl_tensor::init::rng_from_seed;
 use stsl_tensor::Tensor;
 
-/// Per-channel normalization statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelStats {
-    /// Mean per channel.
-    pub mean: Vec<f32>,
-    /// Standard deviation per channel.
-    pub std: Vec<f32>,
-}
-
 /// Why a tensor/label pair cannot form an [`ImageDataset`].
 ///
 /// Surfaced (instead of a panic) so loaders fed untrusted bytes — the
@@ -212,56 +203,6 @@ impl ImageDataset {
         (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
     }
 
-    /// Per-channel mean and standard deviation over all pixels.
-    pub fn channel_stats(&self) -> ChannelStats {
-        let (c, h, w) = self.image_dims();
-        let n = self.len();
-        let plane = h * w;
-        let src = self.images.as_slice();
-        let mut mean = vec![0.0f64; c];
-        let mut sq = vec![0.0f64; c];
-        for i in 0..n {
-            for ci in 0..c {
-                let off = (i * c + ci) * plane;
-                for &v in &src[off..off + plane] {
-                    mean[ci] += v as f64;
-                    sq[ci] += (v as f64) * (v as f64);
-                }
-            }
-        }
-        let count = (n * plane).max(1) as f64;
-        let mut std = vec![0.0f32; c];
-        let mut mean32 = vec![0.0f32; c];
-        for ci in 0..c {
-            let m = mean[ci] / count;
-            mean32[ci] = m as f32;
-            std[ci] = (((sq[ci] / count) - m * m).max(1e-12)).sqrt() as f32;
-        }
-        ChannelStats { mean: mean32, std }
-    }
-
-    /// Returns a normalized copy: `(x - mean) / std` per channel.
-    pub fn normalized(&self, stats: &ChannelStats) -> ImageDataset {
-        let (c, h, w) = self.image_dims();
-        assert_eq!(stats.mean.len(), c, "stats channel count mismatch");
-        let plane = h * w;
-        let mut data = self.images.as_slice().to_vec();
-        for i in 0..self.len() {
-            for ci in 0..c {
-                let off = (i * c + ci) * plane;
-                let (m, s) = (stats.mean[ci], stats.std[ci].max(1e-6));
-                for v in &mut data[off..off + plane] {
-                    *v = (*v - m) / s;
-                }
-            }
-        }
-        ImageDataset {
-            images: Tensor::from_vec(data, [self.len(), c, h, w]),
-            labels: self.labels.clone(),
-            num_classes: self.num_classes,
-        }
-    }
-
     /// Histogram of labels (length `num_classes`).
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -356,28 +297,6 @@ mod tests {
         let (a, _) = d.split(0.5, 3);
         let (b, _) = d.split(0.5, 3);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn channel_stats_of_constant_images() {
-        let images = Tensor::full([3, 2, 2, 2], 5.0);
-        let d = ImageDataset::new(images, vec![0, 0, 0], 1);
-        let stats = d.channel_stats();
-        assert!((stats.mean[0] - 5.0).abs() < 1e-5);
-        assert!(stats.std[0] < 1e-3);
-    }
-
-    #[test]
-    fn normalization_zeroes_mean_and_unitizes_std() {
-        let images = Tensor::from_fn([4, 1, 4, 4], |idx| {
-            (idx[0] * 7 + idx[2] * 3 + idx[3]) as f32
-        });
-        let d = ImageDataset::new(images, vec![0; 4], 1);
-        let stats = d.channel_stats();
-        let n = d.normalized(&stats);
-        let post = n.channel_stats();
-        assert!(post.mean[0].abs() < 1e-4);
-        assert!((post.std[0] - 1.0).abs() < 1e-3);
     }
 
     #[test]

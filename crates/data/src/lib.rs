@@ -30,13 +30,11 @@ mod augment;
 mod batching;
 pub mod cifar;
 mod dataset;
-mod kfold;
 mod partition;
 mod synthetic;
 
 pub use augment::{hflip, random_crop, standard_augment};
 pub use batching::BatchPlan;
-pub use dataset::{ChannelStats, DatasetError, ImageDataset};
-pub use kfold::KFold;
+pub use dataset::{DatasetError, ImageDataset};
 pub use partition::{label_skew, Partition};
 pub use synthetic::{SyntheticCifar, CHANNELS, CLASS_NAMES, IMAGE_SIDE, NUM_CLASSES};

@@ -12,10 +12,11 @@
 use crate::ImageDataset;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use stsl_tensor::init::rng_from_seed;
 
 /// How to distribute samples across end-systems.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Partition {
     /// Independent, identically distributed shards.
     Iid,

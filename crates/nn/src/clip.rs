@@ -22,17 +22,6 @@ pub fn clip_grad_norm(net: &mut Sequential, max_norm: f32) -> f32 {
     norm
 }
 
-/// Clamps every gradient element of `net` into `[-limit, limit]`
-/// (element-wise clipping, cruder than norm clipping but cheaper).
-///
-/// # Panics
-///
-/// Panics if `limit` is not positive.
-pub fn clip_grad_value(net: &mut Sequential, limit: f32) {
-    assert!(limit > 0.0, "limit must be positive");
-    net.visit_params(&mut |p| p.grad.map_inplace(|g| g.clamp(-limit, limit)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,15 +78,6 @@ mod tests {
                 .sum();
             assert!(dot >= 0.0);
             i += 1;
-        });
-    }
-
-    #[test]
-    fn value_clipping_bounds_elements() {
-        let mut net = net_with_grads(100.0);
-        clip_grad_value(&mut net, 0.01);
-        net.visit_params(&mut |p| {
-            assert!(p.grad.as_slice().iter().all(|g| g.abs() <= 0.01 + 1e-9));
         });
     }
 

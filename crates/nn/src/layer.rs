@@ -3,13 +3,10 @@
 use stsl_tensor::Tensor;
 
 /// Whether a forward pass is part of training or evaluation.
-///
-/// Layers with stochastic behaviour (dropout) act only in [`Mode::Train`];
-/// deterministic layers ignore the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Training: stochastic regularizers are active and layers cache the
-    /// state needed by a subsequent [`Layer::backward`].
+    /// Training: layers cache the state needed by a subsequent
+    /// [`Layer::backward`].
     Train,
     /// Inference: deterministic, no state is cached.
     Eval,

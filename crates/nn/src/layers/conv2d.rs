@@ -14,7 +14,7 @@ use stsl_tensor::Tensor;
 /// use stsl_nn::{Layer, Mode};
 /// use stsl_tensor::Tensor;
 ///
-/// let mut conv = Conv2d::new(3, 16, 3, 42).padding_same();
+/// let mut conv = Conv2d::new(3, 16, 3, 42);
 /// let x = Tensor::zeros([2, 3, 32, 32]);
 /// let y = conv.forward(&x, Mode::Eval);
 /// assert_eq!(y.dims(), &[2, 16, 32, 32]);
@@ -64,18 +64,6 @@ impl Conv2d {
             out_channels,
             cache: None,
         }
-    }
-
-    /// Reconfigures to "same" padding (builder style).
-    pub fn padding_same(mut self) -> Self {
-        self.spec.pad = self.spec.kh / 2;
-        self
-    }
-
-    /// Reconfigures to "valid" (no) padding (builder style).
-    pub fn padding_valid(mut self) -> Self {
-        self.spec.pad = 0;
-        self
     }
 
     /// The convolution geometry.

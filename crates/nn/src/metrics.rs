@@ -1,7 +1,5 @@
 //! Classification metrics.
 
-use stsl_tensor::Tensor;
-
 /// Fraction of predictions equal to targets.
 ///
 /// # Panics
@@ -20,96 +18,6 @@ pub fn accuracy(predictions: &[usize], targets: &[usize]) -> f32 {
         .filter(|(p, t)| p == t)
         .count();
     hits as f32 / targets.len() as f32
-}
-
-/// A `c×c` confusion matrix: `m[true][predicted]` counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix over `classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "confusion matrix needs at least one class");
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one `(truth, prediction)` observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, truth: usize, prediction: usize) {
-        assert!(
-            truth < self.classes && prediction < self.classes,
-            "class index out of range"
-        );
-        self.counts[truth * self.classes + prediction] += 1;
-    }
-
-    /// Records a batch of observations.
-    pub fn record_batch(&mut self, truths: &[usize], predictions: &[usize]) {
-        assert_eq!(truths.len(), predictions.len(), "batch length mismatch");
-        for (&t, &p) in truths.iter().zip(predictions) {
-            self.record(t, p);
-        }
-    }
-
-    /// Count at `(truth, prediction)`.
-    pub fn count(&self, truth: usize, prediction: usize) -> u64 {
-        self.counts[truth * self.classes + prediction]
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (diagonal mass / total); 0 if nothing recorded.
-    pub fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall: `diag / row sum`, `None` when the class was never
-    /// seen as truth.
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        let row: u64 = (0..self.classes).map(|j| self.count(class, j)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-
-    /// Per-class precision: `diag / column sum`, `None` when the class was
-    /// never predicted.
-    pub fn precision(&self, class: usize) -> Option<f32> {
-        let col: u64 = (0..self.classes).map(|i| self.count(i, class)).sum();
-        if col == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / col as f32)
-        }
-    }
 }
 
 /// Running mean of a scalar stream (loss curves etc.).
@@ -146,31 +54,6 @@ impl RunningMean {
     }
 }
 
-/// Top-k accuracy from raw logits.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, shapes mismatch, or `k > classes`.
-pub fn top_k_accuracy(logits: &Tensor, targets: &[usize], k: usize) -> f32 {
-    assert!(k > 0, "k must be positive");
-    assert_eq!(logits.rank(), 2, "logits must be [batch, classes]");
-    let (n, c) = (logits.dim(0), logits.dim(1));
-    assert!(k <= c, "k {} exceeds class count {}", k, c);
-    assert_eq!(targets.len(), n, "target length mismatch");
-    let data = logits.as_slice();
-    let mut hits = 0;
-    for (r, &t) in targets.iter().enumerate() {
-        let row = &data[r * c..(r + 1) * c];
-        let target_score = row[t];
-        // Count how many classes strictly beat the target.
-        let better = row.iter().filter(|&&v| v > target_score).count();
-        if better < k {
-            hits += 1;
-        }
-    }
-    hits as f32 / n as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,33 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_diagonal() {
-        let mut m = ConfusionMatrix::new(3);
-        m.record_batch(&[0, 1, 2, 1], &[0, 1, 0, 1]);
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.count(2, 0), 1);
-        assert_eq!(m.accuracy(), 0.75);
-    }
-
-    #[test]
-    fn recall_and_precision() {
-        let mut m = ConfusionMatrix::new(2);
-        // truth 0: predicted 0, 0, 1 — recall 2/3
-        m.record_batch(&[0, 0, 0, 1], &[0, 0, 1, 1]);
-        assert!((m.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-6);
-        // precision of class 1: predicted-1 column has 2 entries, 1 correct.
-        assert!((m.precision(1).unwrap() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn recall_of_unseen_class_is_none() {
-        let m = ConfusionMatrix::new(4);
-        assert_eq!(m.recall(3), None);
-        assert_eq!(m.precision(3), None);
-        assert_eq!(m.accuracy(), 0.0);
-    }
-
-    #[test]
     fn running_mean_accumulates() {
         let mut rm = RunningMean::new();
         assert_eq!(rm.mean(), None);
@@ -222,16 +78,5 @@ mod tests {
         rm.push(3.0);
         assert_eq!(rm.mean(), Some(2.0));
         assert_eq!(rm.count(), 2);
-    }
-
-    #[test]
-    fn top_k_reduces_to_accuracy_at_one() {
-        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.0, 0.2, 0.5, 0.3], [2, 3]);
-        let targets = [0usize, 2];
-        let t1 = top_k_accuracy(&logits, &targets, 1);
-        let preds = logits.argmax_rows();
-        assert_eq!(t1, accuracy(&preds, &targets));
-        // k=2: row 1 target (0.3) is second best -> hit.
-        assert_eq!(top_k_accuracy(&logits, &targets, 2), 1.0);
     }
 }

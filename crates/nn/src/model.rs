@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn empty_network_is_identity() {
         let mut net = Sequential::new();
-        let x = Tensor::arange(0.0, 1.0, 4).reshape([1, 4]);
+        let x = Tensor::from_vec((0..4).map(|i| i as f32).collect(), [1, 4]);
         assert_eq!(net.forward(&x, Mode::Eval), x);
         assert!(net.is_empty());
     }

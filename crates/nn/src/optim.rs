@@ -25,17 +25,17 @@ pub trait Optimizer: std::fmt::Debug + Send {
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
 
-    /// Replaces the learning rate (for schedules).
+    /// Replaces the learning rate (the divergence watchdog's post-rollback
+    /// cooldown scales it).
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent with optional momentum and weight
-/// decay: `v = μv + g + λw; w -= η v`.
+/// Plain stochastic gradient descent with optional momentum:
+/// `v = μv + g; w -= η v`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: BTreeMap<usize, Tensor>,
 }
 
@@ -45,7 +45,6 @@ impl Sgd {
         Sgd {
             lr,
             momentum: 0.0,
-            weight_decay: 0.0,
             velocity: BTreeMap::new(),
         }
     }
@@ -55,35 +54,21 @@ impl Sgd {
         self.momentum = momentum;
         self
     }
-
-    /// Adds L2 weight decay (builder style).
-    pub fn weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
 }
 
 impl Optimizer for Sgd {
     fn update(&mut self, param_id: usize, value: &mut Tensor, grad: &Tensor) {
-        if self.momentum == 0.0 && self.weight_decay == 0.0 {
+        if self.momentum == 0.0 {
             value.axpy(-self.lr, grad);
             return;
         }
-        let mut effective = grad.clone();
-        if self.weight_decay != 0.0 {
-            effective.axpy(self.weight_decay, value);
-        }
-        if self.momentum != 0.0 {
-            let v = self
-                .velocity
-                .entry(param_id)
-                .or_insert_with(|| Tensor::zeros(value.shape().clone()));
-            v.scale_inplace(self.momentum);
-            v.axpy(1.0, &effective);
-            value.axpy(-self.lr, v);
-        } else {
-            value.axpy(-self.lr, &effective);
-        }
+        let v = self
+            .velocity
+            .entry(param_id)
+            .or_insert_with(|| Tensor::zeros(value.shape().clone()));
+        v.scale_inplace(self.momentum);
+        v.axpy(1.0, grad);
+        value.axpy(-self.lr, v);
     }
 
     fn learning_rate(&self) -> f32 {
@@ -95,35 +80,27 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam (Kingma & Ba, 2015) with bias correction.
+/// Adam (Kingma & Ba, 2015) with bias correction and the canonical
+/// β₁ = 0.9, β₂ = 0.999.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u32,
     moments: BTreeMap<usize, (Tensor, Tensor)>,
 }
 
 impl Adam {
-    /// Creates Adam with the canonical defaults β₁ = 0.9, β₂ = 0.999.
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
+    /// Creates Adam with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             moments: BTreeMap::new(),
         }
-    }
-
-    /// Overrides the β coefficients (builder style).
-    pub fn betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
     }
 }
 
@@ -138,7 +115,7 @@ impl Optimizer for Adam {
         // Step count for bias correction: t is advanced in finish_step, so
         // during the first step self.t == 0 and we correct with t+1.
         let t = (self.t + 1) as f32;
-        let (b1, b2) = (self.beta1, self.beta2);
+        let (b1, b2) = (Self::BETA1, Self::BETA2);
         let ms = m.as_mut_slice();
         let vs = v.as_mut_slice();
         let gs = grad.as_slice();
@@ -150,7 +127,7 @@ impl Optimizer for Adam {
             vs[i] = b2 * vs[i] + (1.0 - b2) * gs[i] * gs[i];
             let mhat = ms[i] / c1;
             let vhat = vs[i] / c2;
-            ws[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            ws[i] -= self.lr * mhat / (vhat.sqrt() + Self::EPS);
         }
     }
 
@@ -164,37 +141,6 @@ impl Optimizer for Adam {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-}
-
-/// A step-decay learning-rate schedule: multiplies the optimizer's learning
-/// rate by `gamma` every `every` epochs.
-#[derive(Debug, Clone, Copy)]
-pub struct StepDecay {
-    base_lr: f32,
-    gamma: f32,
-    every: usize,
-}
-
-impl StepDecay {
-    /// Creates a schedule starting from `base_lr`.
-    pub fn new(base_lr: f32, gamma: f32, every: usize) -> Self {
-        assert!(every > 0, "decay interval must be positive");
-        StepDecay {
-            base_lr,
-            gamma,
-            every,
-        }
-    }
-
-    /// Learning rate for a 0-based `epoch`.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * self.gamma.powi((epoch / self.every) as i32)
-    }
-
-    /// Applies the schedule to an optimizer for `epoch`.
-    pub fn apply(&self, epoch: usize, opt: &mut dyn Optimizer) {
-        opt.set_learning_rate(self.lr_at(epoch));
     }
 }
 
@@ -237,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_weight_decay_shrinks_weights_with_zero_grad() {
-        let mut w = Tensor::from_vec(vec![1.0], [1]);
-        let g = Tensor::zeros([1]);
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        opt.update(0, &mut w, &g);
-        assert!((w.item() - (1.0 - 0.1 * 0.5)).abs() < 1e-6);
-    }
-
-    #[test]
     fn adam_descends_a_quadratic() {
         let mut w = Tensor::from_vec(vec![3.0, -4.0], [2]);
         let mut opt = Adam::new(0.1);
@@ -280,17 +217,5 @@ mod tests {
             w1.item(),
             "independent params get identical first steps"
         );
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = StepDecay::new(0.1, 0.5, 10);
-        assert_eq!(s.lr_at(0), 0.1);
-        assert_eq!(s.lr_at(9), 0.1);
-        assert_eq!(s.lr_at(10), 0.05);
-        assert_eq!(s.lr_at(25), 0.025);
-        let mut opt = Sgd::new(0.1);
-        s.apply(20, &mut opt);
-        assert_eq!(opt.learning_rate(), 0.025);
     }
 }

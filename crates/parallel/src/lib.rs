@@ -308,72 +308,6 @@ where
     });
 }
 
-/// Two-buffer variant of [`par_chunks_mut`]: both slices are split at the
-/// same row boundaries (`a` in rows of `a_row`, `b` in rows of `b_row`) and
-/// `f(first_row, a_chunk, b_chunk)` runs per block.
-///
-/// Used where one pass fills two outputs (e.g. batchnorm's normalized
-/// activations plus its cached `x̂`).
-///
-/// # Panics
-///
-/// Panics if either slice is not whole rows or the row counts differ.
-pub fn par_chunks_mut2<A, B, F>(
-    a: &mut [A],
-    b: &mut [B],
-    a_row: usize,
-    b_row: usize,
-    policy: ChunkPolicy,
-    f: F,
-) where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(a_row > 0 && b_row > 0, "row lengths must be positive");
-    assert_eq!(a.len() % a_row, 0, "a must be whole rows");
-    assert_eq!(b.len() % b_row, 0, "b must be whole rows");
-    let rows = a.len() / a_row;
-    assert_eq!(b.len() / b_row, rows, "row counts must agree");
-    let ranges = policy.ranges(rows, max_threads());
-    if ranges.len() <= 1 {
-        if rows > 0 {
-            f(0, a, b);
-        }
-        return;
-    }
-    let ctx = scope_context();
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut rest_a = a;
-        let mut rest_b = b;
-        let mut handles = Vec::new();
-        let mut first = None;
-        for (bi, r) in ranges.iter().enumerate() {
-            let rows_here = r.end - r.start;
-            let tmp_a = std::mem::take(&mut rest_a);
-            let (chunk_a, tail_a) = tmp_a.split_at_mut(rows_here * a_row);
-            rest_a = tail_a;
-            let tmp_b = std::mem::take(&mut rest_b);
-            let (chunk_b, tail_b) = tmp_b.split_at_mut(rows_here * b_row);
-            rest_b = tail_b;
-            if bi == 0 {
-                first = Some((r.start, chunk_a, chunk_b));
-            } else {
-                let start = r.start;
-                handles.push(s.spawn(move || worker(ctx, || f(start, chunk_a, chunk_b))));
-            }
-        }
-        let (start, chunk_a, chunk_b) = first.expect("at least two ranges");
-        serial(|| f(start, chunk_a, chunk_b));
-        for h in handles {
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
-}
-
 /// Indexed parallel map: returns `[f(0), f(1), …, f(items-1)]` in index
 /// order, computing contiguous blocks of indices potentially in parallel.
 pub fn par_map_indexed<R, F>(items: usize, policy: ChunkPolicy, f: F) -> Vec<R>
@@ -586,31 +520,6 @@ mod tests {
         assert_eq!(serial_out, par_out);
         // Row 4 starts at element 12, so element 12 is (4*3+0)*7.
         assert_eq!(par_out[12], 84);
-    }
-
-    #[test]
-    fn par_chunks_mut2_splits_both_buffers_consistently() {
-        let mut a = vec![0usize; 12]; // rows of 2
-        let mut b = vec![0usize; 18]; // rows of 3
-        with_threads(4, || {
-            par_chunks_mut2(
-                &mut a,
-                &mut b,
-                2,
-                3,
-                ChunkPolicy::min_chunk(1),
-                |row0, ca, cb| {
-                    for (i, v) in ca.iter_mut().enumerate() {
-                        *v = row0 * 2 + i;
-                    }
-                    for (i, v) in cb.iter_mut().enumerate() {
-                        *v = row0 * 3 + i;
-                    }
-                },
-            );
-        });
-        assert_eq!(a, (0..12).collect::<Vec<_>>());
-        assert_eq!(b, (0..18).collect::<Vec<_>>());
     }
 
     #[test]

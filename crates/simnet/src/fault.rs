@@ -583,14 +583,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the plan schedules any adversarial persona at all (used to
-    /// skip attack bookkeeping entirely on benign plans).
-    pub fn has_attacks(&self) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Adversary { .. }))
-    }
-
     /// Whether `client` is crashed at `at`.
     pub fn client_crashed(&self, client: EndSystemId, at: SimTime) -> bool {
         self.episodes.iter().any(|e| {
@@ -607,13 +599,6 @@ impl FaultPlan {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Whether the server is stalled at `at`.
-    pub fn server_stalled(&self, at: SimTime) -> bool {
-        self.episodes
-            .iter()
-            .any(|e| e.active_at(at) && matches!(e.kind, FaultKind::ServerStall))
     }
 
     /// When the server stall covering `at` ends (the latest `until` among
@@ -762,7 +747,6 @@ mod tests {
         assert!(plan.client_crashed(EndSystemId(1), t(15)));
         assert!(!plan.client_crashed(EndSystemId(0), t(15)));
         assert_eq!(plan.crash_windows(), vec![(EndSystemId(1), t(10), t(30))]);
-        assert!(plan.server_stalled(t(45)));
         assert_eq!(plan.server_stall_end(t(45)), Some(t(50)));
         assert_eq!(plan.server_stall_end(t(55)), None);
         assert_eq!(plan.horizon(), t(50));
@@ -900,7 +884,6 @@ mod tests {
                 t(0),
                 t(100),
             );
-        assert!(plan.has_attacks());
         assert_eq!(plan.attack(EndSystemId(0), t(9)), None);
         assert_eq!(
             plan.attack(EndSystemId(0), t(10)),

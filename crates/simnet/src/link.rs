@@ -144,17 +144,6 @@ impl Link {
         };
         Some(prop + ser)
     }
-
-    /// Expected transfer duration for `bytes` (mean latency +
-    /// serialization; ignores loss).
-    pub fn expected_transfer(&self, bytes: usize) -> SimDuration {
-        let ser = if self.bandwidth_bps.is_finite() {
-            SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
-        } else {
-            SimDuration::ZERO
-        };
-        self.latency.mean() + ser
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +206,7 @@ mod tests {
     #[test]
     fn wan_serialization_delay_scales_with_bytes() {
         let link = Link::wan(10.0, 8.0); // 8 Mbps = 1 MB/s
-        let d = link.expected_transfer(1_000_000);
+        let d = link.transfer(1_000_000, &mut rng_from_seed(5)).unwrap();
         // 10 ms propagation + 1 s serialization.
         assert_eq!(d.as_millis(), 1_010);
     }

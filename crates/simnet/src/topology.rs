@@ -135,15 +135,6 @@ impl StarTopology {
         (0..self.links.len()).map(EndSystemId)
     }
 
-    /// The spread between the fastest and slowest mean link latencies —
-    /// the "spatial separation" the paper's queueing discussion is about.
-    pub fn latency_spread(&self) -> crate::SimDuration {
-        let means: Vec<_> = self.links.iter().map(|l| l.latency.mean()).collect();
-        let max = means.iter().max().copied().unwrap_or_default();
-        let min = means.iter().min().copied().unwrap_or_default();
-        crate::SimDuration::from_micros(max.as_micros() - min.as_micros())
-    }
-
     /// A heterogeneous benchmark topology: latencies spread linearly from
     /// `lo_ms` to `hi_ms` across end-systems with ±10 % jitter.
     pub fn latency_gradient(n: usize, lo_ms: f64, hi_ms: f64, mbps: f64) -> Self {
@@ -198,7 +189,6 @@ mod tests {
     fn uniform_topology() {
         let t = StarTopology::uniform(4, Link::wan(5.0, 100.0));
         assert_eq!(t.len(), 4);
-        assert_eq!(t.latency_spread(), crate::SimDuration::ZERO);
         assert_eq!(t.label(EndSystemId(2)), "es2");
     }
 
@@ -220,12 +210,10 @@ mod tests {
     fn latency_gradient_spans_range() {
         let t = StarTopology::latency_gradient(5, 1.0, 101.0, 50.0);
         assert_eq!(t.len(), 5);
-        let spread = t.latency_spread();
-        assert!(
-            (spread.as_millis() as i64 - 100).abs() <= 1,
-            "spread {}",
-            spread
-        );
+        let fastest = t.link(EndSystemId(0)).latency.mean();
+        let slowest = t.link(EndSystemId(4)).latency.mean();
+        assert_eq!(fastest.as_millis(), 1);
+        assert_eq!(slowest.as_millis(), 101);
     }
 
     #[test]

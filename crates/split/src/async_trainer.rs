@@ -16,10 +16,11 @@
 //! * **Retransmission** — a lost activation or gradient message is resent
 //!   under a [`RetryPolicy`] (exponential backoff + jitter); only when the
 //!   retry budget is exhausted is the batch abandoned and counted lost.
-//! * **Liveness tracking** — the server keeps last-seen bookkeeping per
-//!   end-system ([`LivenessTracker`]), declares silent ones dead, and
-//!   handles their rejoin; the epoch keeps progressing with the survivors
-//!   (graceful quorum degradation).
+//! * **Liveness tracking** — the server keeps one last-seen clock per
+//!   active end-system with work left, moves members silent past the
+//!   timeout from `Active` to `Suspect` (counted as dead), and re-admits
+//!   them on their next uplink; the epoch keeps progressing with the
+//!   survivors (graceful quorum degradation).
 //! * **Crash / recover** — a crashed end-system loses its outstanding
 //!   batch and its in-flight messages; on recovery it restores its private
 //!   layers from the last auto-checkpoint (if any) and resumes from its
@@ -45,9 +46,7 @@ use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog, QuarantineStatus, Qu
 use crate::membership::{Membership, MembershipState, QuorumLost};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use crate::report::{AsyncReport, CommReport};
-use crate::resilience::{
-    BreakerConfig, BreakerDecision, CircuitBreaker, LivenessTracker, RetryPolicy,
-};
+use crate::resilience::{BreakerConfig, BreakerDecision, CircuitBreaker, RetryPolicy};
 use crate::scheduler::{ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use crate::trainer::ConfigError;
@@ -216,7 +215,10 @@ pub struct AsyncSplitTrainer {
     stall_wake: Option<SimTime>,
     comm: CommReport,
     client_epoch: Vec<u64>,
-    liveness: LivenessTracker,
+    /// When each end-system was last heard from (its admission or latest
+    /// uplink), for the liveness sweep; unset while it is dormant,
+    /// departed or done, when silence is expected.
+    last_seen: Vec<Option<SimTime>>,
     crashed: Vec<bool>,
     down_since: Vec<Option<SimTime>>,
     downtime_us: Vec<u64>,
@@ -267,7 +269,6 @@ impl AsyncSplitTrainer {
             .collect();
         let retry_rng = rng_from_seed(derive_seed(config.seed, 6000));
         let n = config.end_systems;
-        let liveness_timeout = SimDuration::from_millis(2_000);
         Ok(AsyncSplitTrainer {
             config,
             topology,
@@ -280,7 +281,7 @@ impl AsyncSplitTrainer {
             log: EventLog::new(),
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::from_timeout(SimDuration::from_millis(500)),
-            liveness_timeout,
+            liveness_timeout: SimDuration::from_millis(2_000),
             checkpoint_every: None,
             guard: None,
             telemetry_every: None,
@@ -297,7 +298,7 @@ impl AsyncSplitTrainer {
             stall_wake: None,
             comm: CommReport::default(),
             client_epoch: Vec::new(),
-            liveness: LivenessTracker::new(n, liveness_timeout),
+            last_seen: Vec::new(),
             crashed: Vec::new(),
             down_since: Vec::new(),
             downtime_us: Vec::new(),
@@ -657,7 +658,6 @@ impl AsyncSplitTrainer {
         self.comm = CommReport::default();
         self.client_epoch = vec![0; n];
         self.log.reset_counts();
-        self.liveness = LivenessTracker::new(n, self.liveness_timeout);
         self.crashed = vec![false; n];
         self.down_since = vec![None; n];
         self.downtime_us = vec![0; n];
@@ -672,6 +672,9 @@ impl AsyncSplitTrainer {
                 membership = membership.dormant(id.0);
             }
         }
+        self.last_seen = (0..n)
+            .map(|i| membership.is_active(i).then_some(SimTime::ZERO))
+            .collect();
         self.membership = membership;
         self.deadline_snapshot = vec![0; n];
         // Adversary streams are derived per client and consulted only
@@ -766,17 +769,7 @@ impl AsyncSplitTrainer {
             if budget.is_some_and(|b| t.since(SimTime::ZERO) > b) {
                 break;
             }
-            for silent in self.liveness.sweep(t) {
-                // A member that went silent is suspected, not evicted: it
-                // still counts toward quorum and resumes on its next
-                // uplink.
-                if self.membership.state(silent.0) == Some(MembershipState::Active) {
-                    let _ = self
-                        .membership
-                        .transition(silent.0, MembershipState::Suspect);
-                    self.note_membership();
-                }
-            }
+            self.sweep_silent(t);
             if let Some(id) = event.end_system() {
                 if self.crashed[id.0] || !self.is_member(id.0) {
                     continue;
@@ -785,6 +778,19 @@ impl AsyncSplitTrainer {
             self.dispatch(t, event)?;
         }
         Ok(())
+    }
+
+    /// Suspects every active member with work left that has been silent
+    /// past the liveness timeout. A suspect is not evicted: it still
+    /// counts toward quorum and is re-admitted on its next uplink.
+    fn sweep_silent(&mut self, t: SimTime) {
+        for i in 0..self.clients.len() {
+            let silent = self.last_seen[i].is_some_and(|s| t.since(s) > self.liveness_timeout);
+            if silent && self.membership.is_active(i) {
+                let _ = self.membership.transition(i, MembershipState::Suspect);
+                self.note_membership();
+            }
+        }
     }
 
     /// Handles one event at `t`.
@@ -834,9 +840,8 @@ impl AsyncSplitTrainer {
                 QuarantineStatus::Clear => {}
             }
         }
-        if self.liveness.observe(id, t)
-            && self.membership.state(id.0) == Some(MembershipState::Suspect)
-        {
+        self.last_seen[id.0] = Some(t);
+        if self.membership.state(id.0) == Some(MembershipState::Suspect) {
             // The suspect spoke up: back to full membership.
             let _ = self.membership.transition(id.0, MembershipState::Active);
             self.note_membership();
@@ -915,7 +920,7 @@ impl AsyncSplitTrainer {
         }
         self.log.record(t, EventKind::ClientJoin, id);
         self.note_membership();
-        self.liveness.readmit(id, t);
+        self.last_seen[id.0] = Some(t);
         // Server-seeded warm start: clone the most-served active member's
         // private layers from the newest checkpoint, so the joiner's
         // lowers are compatible with the co-adapted uppers instead of
@@ -938,7 +943,7 @@ impl AsyncSplitTrainer {
         }
         self.log.record(t, EventKind::ClientLeave, id);
         self.note_membership();
-        self.liveness.retire(id);
+        self.last_seen[id.0] = None;
         // The un-acked batch is rewound, not abandoned: if the client
         // rejoins, it resumes from its last acked batch and replays this
         // one.
@@ -960,7 +965,7 @@ impl AsyncSplitTrainer {
         let _ = self.membership.transition(id.0, MembershipState::Active);
         self.log.record(t, EventKind::ClientRejoin, id);
         self.note_membership();
-        self.liveness.readmit(id, t);
+        self.last_seen[id.0] = Some(t);
         // Resync: the cursor was rewound at departure, so the next launch
         // replays the exact batch whose gradient never arrived.
         self.launch_next_batch(id, t);
@@ -1088,7 +1093,7 @@ impl AsyncSplitTrainer {
             recovery_events: count(EventKind::ClientRecover),
             checkpoint_saves: count(EventKind::CheckpointSave),
             checkpoint_restores: count(EventKind::CheckpointRestore),
-            dead_clients_detected: self.liveness.dead_detections(),
+            dead_clients_detected: self.membership.suspicions(),
             corrupted_payloads: count(EventKind::PayloadCorrupted),
             corrupted_rejected: count(EventKind::CorruptRejected),
             anomalies_rejected: count(EventKind::AnomalyRejected),
@@ -1242,8 +1247,8 @@ impl AsyncSplitTrainer {
 
     /// Computes client `id`'s next batch starting at `t` and sends it
     /// uplink. Advances the client's epoch when its shard is exhausted;
-    /// stops silently (and retires the client from liveness tracking)
-    /// after the final epoch.
+    /// stops silently (and leaves the liveness sweep) after the final
+    /// epoch.
     fn launch_next_batch(&mut self, id: EndSystemId, t: SimTime) {
         if self.crashed[id.0] {
             return; // relaunched on recovery
@@ -1255,7 +1260,7 @@ impl AsyncSplitTrainer {
         if client.epoch_finished() {
             let next_epoch = self.client_epoch[id.0] + 1;
             if next_epoch >= self.config.epochs as u64 {
-                self.liveness.retire(id);
+                self.last_seen[id.0] = None;
                 return; // this client is done for good
             }
             self.client_epoch[id.0] = next_epoch;
@@ -1984,6 +1989,33 @@ mod tests {
         );
         // The survivor kept training the whole time (quorum of one).
         assert_eq!(r.served_per_client[1], 18);
+    }
+
+    #[test]
+    fn dormant_joiner_is_not_counted_dead() {
+        // End-system 2 is silent until its join event fires, as declared:
+        // however late that is, the liveness sweep must not count it dead.
+        for join_ms in [500, 2_500, 5_000] {
+            let cfg = SplitConfig::tiny(CutPoint(1), 3)
+                .epochs(1)
+                .batch_size(8)
+                .seed(4);
+            let top = StarTopology::uniform(3, Link::wan(5.0, 100.0));
+            let plan = FaultPlan::new().client_join(EndSystemId(2), SimTime::from_millis(join_ms));
+            let mut t = AsyncSplitTrainer::new(
+                cfg,
+                &data(72),
+                top,
+                SchedulingPolicy::Fifo,
+                ComputeModel::default(),
+            )
+            .unwrap()
+            .with_fault_plan(plan);
+            let r = t.run(&data(20));
+            assert_eq!(r.clients_joined, 1, "join at {join_ms} ms");
+            assert_eq!(r.crash_events, 0, "join at {join_ms} ms");
+            assert_eq!(r.dead_clients_detected, 0, "join at {join_ms} ms");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::config::SplitConfig;
 use crate::model::CutPoint;
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::trainer::{ConfigError, SpatioTemporalTrainer};
-use stsl_data::{BatchPlan, ImageDataset, Partition};
+use stsl_data::{BatchPlan, ImageDataset};
 use stsl_nn::loss::SoftmaxCrossEntropy;
 use stsl_nn::metrics::RunningMean;
 use stsl_nn::Sequential;
@@ -151,8 +151,9 @@ impl FedAvgTrainer {
         if train.len() < config.end_systems {
             return Err(ConfigError("dataset smaller than client count".into()));
         }
-        let partition: Partition = config.partition.into();
-        let shards = partition.split(train, config.end_systems, derive_seed(config.seed, 7));
+        let shards = config
+            .partition
+            .split(train, config.end_systems, derive_seed(config.seed, 7));
         let global = config.arch.build(config.seed);
         Ok(FedAvgTrainer {
             config,

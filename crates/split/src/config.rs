@@ -42,7 +42,7 @@ pub struct SplitConfig {
     /// Number of end-systems sharing the centralized server.
     pub end_systems: usize,
     /// How training data is carved across end-systems.
-    pub partition: PartitionKind,
+    pub partition: Partition,
     /// Mini-batch size at every end-system.
     pub batch_size: usize,
     /// Training epochs (each end-system passes over its shard once per
@@ -64,33 +64,6 @@ pub struct SplitConfig {
     /// (models the "sparse arrivals" of §II: a far or busy site may skip
     /// rounds entirely). 1.0 = everyone, every epoch.
     pub participation: f32,
-}
-
-/// Serializable mirror of [`stsl_data::Partition`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PartitionKind {
-    /// Uniform random shards.
-    Iid,
-    /// Dirichlet label skew.
-    Dirichlet {
-        /// Concentration parameter.
-        alpha: f32,
-    },
-    /// Sort-and-deal label shards.
-    Shards {
-        /// Shards per client.
-        shards_per_client: usize,
-    },
-}
-
-impl From<PartitionKind> for Partition {
-    fn from(k: PartitionKind) -> Partition {
-        match k {
-            PartitionKind::Iid => Partition::Iid,
-            PartitionKind::Dirichlet { alpha } => Partition::Dirichlet { alpha },
-            PartitionKind::Shards { shards_per_client } => Partition::Shards { shards_per_client },
-        }
-    }
 }
 
 /// Server-side overload protection: bounded ingress, per-client rate
@@ -158,7 +131,7 @@ impl SplitConfig {
             arch: CnnArch::paper(),
             cut,
             end_systems,
-            partition: PartitionKind::Iid,
+            partition: Partition::Iid,
             batch_size: 32,
             epochs: 10,
             learning_rate: 0.01,
@@ -210,7 +183,7 @@ impl SplitConfig {
     }
 
     /// Sets the partition scheme (builder style).
-    pub fn partition(mut self, partition: PartitionKind) -> Self {
+    pub fn partition(mut self, partition: Partition) -> Self {
         self.partition = partition;
         self
     }
@@ -292,8 +265,9 @@ impl SplitConfig {
     /// layers from `seed`, and end-system `i`'s private lower layers from
     /// seed stream `1000 + i`.
     pub(crate) fn build_deployment(&self, train: &ImageDataset) -> (CentralServer, Vec<EndSystem>) {
-        let partition: Partition = self.partition.into();
-        let shards = partition.split(train, self.end_systems, derive_seed(self.seed, 7));
+        let shards = self
+            .partition
+            .split(train, self.end_systems, derive_seed(self.seed, 7));
         let (_, server_model) = self.arch.build_split(self.cut, self.seed);
         let server = CentralServer::new(server_model, self.build_optimizer(), self.end_systems);
         let clients = shards
@@ -354,11 +328,11 @@ mod tests {
             .learning_rate(0.01)
             .seed(9)
             .augment(true)
-            .partition(PartitionKind::Dirichlet { alpha: 0.5 });
+            .partition(Partition::Dirichlet { alpha: 0.5 });
         assert_eq!(cfg.epochs, 7);
         assert_eq!(cfg.batch_size, 64);
         assert!(cfg.augment);
-        assert!(matches!(cfg.partition, PartitionKind::Dirichlet { .. }));
+        assert!(matches!(cfg.partition, Partition::Dirichlet { .. }));
     }
 
     #[test]
@@ -369,12 +343,6 @@ mod tests {
             .optimizer(OptimizerKind::Adam)
             .build_optimizer();
         assert_eq!(adam.learning_rate(), 0.01);
-    }
-
-    #[test]
-    fn partition_kind_converts() {
-        let p: Partition = PartitionKind::Dirichlet { alpha: 0.3 }.into();
-        assert_eq!(p, Partition::Dirichlet { alpha: 0.3 });
     }
 
     #[test]

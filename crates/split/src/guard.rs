@@ -6,9 +6,8 @@
 //! shared model on everyone's activations, a single NaN or norm-exploded
 //! update poisons every end-system's model — so updates are validated
 //! before they reach the optimizer, repeat offenders are quarantined with
-//! a probationary rejoin (mirroring the
-//! [`LivenessTracker`](crate::LivenessTracker)'s retire/rejoin life cycle),
-//! and a watchdog on loss and gradient norms triggers rollback to the
+//! a probationary rejoin (mirroring the [`Membership`](crate::Membership)
+//! suspect/rejoin life cycle), and a watchdog on loss and gradient norms triggers rollback to the
 //! [`CheckpointRing`](crate::CheckpointRing) when training diverges anyway.
 
 use stsl_simnet::{SimDuration, SimTime};

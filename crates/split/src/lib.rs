@@ -68,7 +68,7 @@ pub use aggregate::{
 pub use async_trainer::{AsyncSplitTrainer, ComputeModel};
 pub use checkpoint::{Checkpoint, CheckpointRing, RingLoad};
 pub use client::{EndSystem, ProtocolError};
-pub use config::{DeadlineConfig, OptimizerKind, OverloadConfig, PartitionKind, SplitConfig};
+pub use config::{DeadlineConfig, OptimizerKind, OverloadConfig, SplitConfig};
 pub use fleet::{FleetConfig, FleetJob, FleetTrainer};
 pub use guard::{
     tensor_rms, validate_update, Anomaly, GuardConfig, HealthWatchdog, QuarantineStatus,
@@ -77,9 +77,7 @@ pub use guard::{
 pub use membership::{Membership, MembershipError, MembershipState, QuorumLost};
 pub use model::{CnnArch, CutPoint, PoolKind, LAYERS_PER_BLOCK};
 pub use report::{AsyncReport, CommReport, EpochStats, FleetReport, TrainReport};
-pub use resilience::{
-    BreakerConfig, BreakerDecision, CircuitBreaker, LivenessTracker, RetryPolicy,
-};
+pub use resilience::{BreakerConfig, BreakerDecision, CircuitBreaker, RetryPolicy};
 pub use scheduler::{ArrivalJob, ArrivalQueue, QueuedJob, SchedulingPolicy, TokenBucket};
 pub use server::{CentralServer, ServerStepOutput};
 pub use trainer::{ConfigError, SpatioTemporalTrainer};

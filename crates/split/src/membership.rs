@@ -122,6 +122,7 @@ pub struct Membership {
     joined: u64,
     departed: u64,
     rejoins: u64,
+    suspicions: u64,
 }
 
 impl Membership {
@@ -133,6 +134,7 @@ impl Membership {
             joined: total as u64,
             departed: 0,
             rejoins: 0,
+            suspicions: 0,
         }
     }
 
@@ -199,6 +201,7 @@ impl Membership {
                 self.joined += 1;
                 self.rejoins += 1;
             }
+            (MembershipState::Active, MembershipState::Suspect) => self.suspicions += 1,
             (_, MembershipState::Departed) => self.departed += 1,
             _ => {}
         }
@@ -242,6 +245,12 @@ impl Membership {
         self.rejoins
     }
 
+    /// Total suspicions (`Active → Suspect` edges): members declared dead
+    /// after falling silent.
+    pub fn suspicions(&self) -> u64 {
+        self.suspicions
+    }
+
     /// The conservation law: `joined − departed = active + suspect`.
     /// Always true after any sequence of accepted transitions.
     pub fn conserves(&self) -> bool {
@@ -280,6 +289,7 @@ mod tests {
         let mut m = Membership::new(2);
         m.transition(0, MembershipState::Suspect).unwrap();
         assert_eq!(m.member_count(), 2, "suspects still count as members");
+        assert_eq!(m.suspicions(), 1);
         m.transition(0, MembershipState::Active).unwrap();
         m.transition(0, MembershipState::Departed).unwrap();
         assert_eq!(m.member_count(), 1);

@@ -1,5 +1,5 @@
 //! Fault-tolerance policies for the asynchronous trainer: retransmission
-//! backoff and server-side liveness tracking.
+//! backoff and per-link circuit breaking.
 
 use stsl_simnet::{EndSystemId, SimDuration, SimTime};
 
@@ -78,95 +78,6 @@ impl RetryPolicy {
     /// retransmitted.
     pub fn may_retry(&self, failures: u32) -> bool {
         failures < self.max_attempts
-    }
-}
-
-/// The server's view of which end-systems are alive, from last-seen
-/// bookkeeping on uplink arrivals.
-#[derive(Debug, Clone)]
-pub struct LivenessTracker {
-    last_seen: Vec<SimTime>,
-    alive: Vec<bool>,
-    /// Retired end-systems finished their work; silence from them is
-    /// expected and never flagged as death.
-    retired: Vec<bool>,
-    timeout: SimDuration,
-    dead_detections: u64,
-    rejoins: u64,
-}
-
-impl LivenessTracker {
-    /// Creates a tracker for `n` end-systems, all considered alive and
-    /// last seen at `t = 0`.
-    pub fn new(n: usize, timeout: SimDuration) -> Self {
-        LivenessTracker {
-            last_seen: vec![SimTime::ZERO; n],
-            alive: vec![true; n],
-            retired: vec![false; n],
-            timeout,
-            dead_detections: 0,
-            rejoins: 0,
-        }
-    }
-
-    /// Records traffic from `id` at `at`. Returns `true` if the
-    /// end-system had been declared dead and is now rejoining.
-    pub fn observe(&mut self, id: EndSystemId, at: SimTime) -> bool {
-        self.last_seen[id.0] = at;
-        let rejoined = !self.alive[id.0];
-        if rejoined {
-            self.alive[id.0] = true;
-            self.rejoins += 1;
-        }
-        rejoined
-    }
-
-    /// Marks `id` as done with its work: it will never be declared dead.
-    pub fn retire(&mut self, id: EndSystemId) {
-        self.retired[id.0] = true;
-    }
-
-    /// Re-admits a departed or joining end-system: clears any retirement,
-    /// marks it alive and resets its last-seen clock to `at` so the
-    /// silence accumulated while away is not counted against it.
-    pub fn readmit(&mut self, id: EndSystemId, at: SimTime) {
-        self.retired[id.0] = false;
-        self.alive[id.0] = true;
-        self.last_seen[id.0] = at;
-    }
-
-    /// Declares dead every non-retired end-system silent for longer than
-    /// the timeout. Returns the newly dead.
-    pub fn sweep(&mut self, at: SimTime) -> Vec<EndSystemId> {
-        let mut newly_dead = Vec::new();
-        for i in 0..self.alive.len() {
-            if self.alive[i] && !self.retired[i] && at.since(self.last_seen[i]) > self.timeout {
-                self.alive[i] = false;
-                self.dead_detections += 1;
-                newly_dead.push(EndSystemId(i));
-            }
-        }
-        newly_dead
-    }
-
-    /// Whether `id` is currently considered alive.
-    pub fn is_alive(&self, id: EndSystemId) -> bool {
-        self.alive[id.0]
-    }
-
-    /// Number of end-systems currently considered alive.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Total death declarations over the run.
-    pub fn dead_detections(&self) -> u64 {
-        self.dead_detections
-    }
-
-    /// Total rejoin events (dead end-systems heard from again).
-    pub fn rejoins(&self) -> u64 {
-        self.rejoins
     }
 }
 
@@ -391,50 +302,6 @@ mod tests {
         assert_eq!(p.base_backoff, SimDuration::from_millis(100));
         assert_eq!(p.max_backoff, SimDuration::from_millis(1_600));
         assert!(p.max_attempts > 1);
-    }
-
-    #[test]
-    fn liveness_detects_death_and_rejoin() {
-        let t = |ms| SimTime::from_millis(ms);
-        let mut lt = LivenessTracker::new(2, SimDuration::from_millis(100));
-        lt.observe(EndSystemId(0), t(50));
-        lt.observe(EndSystemId(1), t(50));
-        assert!(lt.sweep(t(100)).is_empty());
-        lt.observe(EndSystemId(0), t(150));
-        // Client 1 has been silent for 101 ms -> dead.
-        let dead = lt.sweep(t(151));
-        assert_eq!(dead, vec![EndSystemId(1)]);
-        assert!(!lt.is_alive(EndSystemId(1)));
-        assert_eq!(lt.alive_count(), 1);
-        assert_eq!(lt.dead_detections(), 1);
-        // Heard from again -> rejoin.
-        assert!(lt.observe(EndSystemId(1), t(200)));
-        assert!(lt.is_alive(EndSystemId(1)));
-        assert_eq!(lt.rejoins(), 1);
-        // A normal observe is not a rejoin.
-        assert!(!lt.observe(EndSystemId(0), t(200)));
-    }
-
-    #[test]
-    fn retired_clients_are_never_declared_dead() {
-        let t = |ms| SimTime::from_millis(ms);
-        let mut lt = LivenessTracker::new(1, SimDuration::from_millis(10));
-        lt.retire(EndSystemId(0));
-        assert!(lt.sweep(t(10_000)).is_empty());
-        assert!(lt.is_alive(EndSystemId(0)));
-    }
-
-    #[test]
-    fn readmit_clears_retirement_and_resets_the_clock() {
-        let t = |ms| SimTime::from_millis(ms);
-        let mut lt = LivenessTracker::new(1, SimDuration::from_millis(100));
-        lt.retire(EndSystemId(0));
-        lt.readmit(EndSystemId(0), t(5_000));
-        assert!(lt.is_alive(EndSystemId(0)));
-        // Its silence clock restarts at readmission time: not dead at
-        // 5 050 ms, dead once 100 ms of fresh silence accumulate.
-        assert!(lt.sweep(t(5_050)).is_empty());
-        assert_eq!(lt.sweep(t(5_101)), vec![EndSystemId(0)]);
     }
 
     #[test]

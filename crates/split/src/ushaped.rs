@@ -19,7 +19,7 @@ use crate::config::SplitConfig;
 use crate::model::CutPoint;
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::trainer::ConfigError;
-use stsl_data::{BatchPlan, ImageDataset, Partition};
+use stsl_data::{BatchPlan, ImageDataset};
 use stsl_nn::loss::{Loss, SoftmaxCrossEntropy};
 use stsl_nn::metrics::RunningMean;
 use stsl_nn::optim::Optimizer;
@@ -74,8 +74,9 @@ impl UShapedTrainer {
                 config.cut.blocks()
             )));
         }
-        let partition: Partition = config.partition.into();
-        let shards = partition.split(train, config.end_systems, derive_seed(config.seed, 7));
+        let shards = config
+            .partition
+            .split(train, config.end_systems, derive_seed(config.seed, 7));
         // The server middle comes from the shared seed.
         let (_, rest) = config.arch.build(config.seed).split_at(lower_end);
         let (server_middle, _) = rest.split_at(head_start - lower_end);

@@ -1,12 +1,12 @@
 //! Metric registry: per-metric, per-end-system histogram series and
 //! snapshot emission.
 //!
-//! This file is the audit's R5 ground truth: every [`MetricId`] variant
-//! must appear in [`MetricId::ALL`] (so [`MetricRegistry::snapshot`]
-//! exports it even when empty), carry its snapshot label here, and be
-//! recorded by at least one instrumentation site elsewhere in the
-//! workspace. `stsl-audit` cross-checks all three against its
-//! `METRIC_IDS` table.
+//! Every [`MetricId`] variant appears in [`MetricId::ALL`] at its
+//! [`MetricId::index`] (a unit test checks the order), so
+//! [`MetricRegistry::snapshot`] exports it even when empty, under the
+//! label its exhaustive [`MetricId::as_str`] gives it. The audit's R5
+//! rule checks that each one is recorded by at least one instrumentation
+//! site elsewhere in the workspace.
 
 use std::collections::BTreeMap;
 
@@ -49,10 +49,12 @@ pub enum MetricId {
 }
 
 impl MetricId {
-    /// Every registered metric, in export order. `snapshot` iterates this
-    /// array, so a variant missing here would silently vanish from every
-    /// export — the audit's R5 rule exists to make that impossible.
-    pub const ALL: [MetricId; 10] = [
+    /// Number of registered metrics.
+    pub const COUNT: usize = 10;
+
+    /// Every registered metric, in declaration (and export) order, so
+    /// `ALL[m.index()] == m`. `snapshot` iterates this array.
+    pub const ALL: [MetricId; MetricId::COUNT] = [
         MetricId::UplinkLatency,
         MetricId::DownlinkLatency,
         MetricId::QueueDepth,
@@ -64,6 +66,11 @@ impl MetricId {
         MetricId::TrimFraction,
         MetricId::CohortSize,
     ];
+
+    /// Position of this metric in [`MetricId::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Stable snake_case label used in snapshot export.
     pub fn as_str(self) -> &'static str {
@@ -232,6 +239,13 @@ impl MetricRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_is_in_index_order() {
+        for (i, metric) in MetricId::ALL.iter().enumerate() {
+            assert_eq!(metric.index(), i, "{metric:?}");
+        }
+    }
 
     #[test]
     fn snapshot_exports_every_registered_metric() {

@@ -73,18 +73,6 @@ impl Tensor {
         t.scale_inplace(std);
         t
     }
-
-    /// Xavier (Glorot) uniform initialization:
-    /// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
-    pub fn xavier_uniform(
-        shape: impl Into<Shape>,
-        fan_in: usize,
-        fan_out: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let limit = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-        Tensor::rand_uniform(shape, -limit, limit, rng)
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +131,6 @@ mod tests {
             var,
             expected
         );
-    }
-
-    #[test]
-    fn xavier_uniform_respects_limit() {
-        let limit = (6.0f32 / 300.0).sqrt();
-        let t = Tensor::xavier_uniform([5000], 100, 200, &mut rng_from_seed(6));
-        assert!(t.as_slice().iter().all(|&x| x.abs() <= limit));
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1: columns are just the flattened pixels.
-        let input = Tensor::arange(0.0, 1.0, 8).reshape([2, 1, 2, 2]);
+        let input = Tensor::from_vec((0..8).map(|i| i as f32).collect(), [2, 1, 2, 2]);
         let cols = im2col(
             &input,
             ConvSpec {

@@ -1,6 +1,6 @@
-//! Elementwise convenience methods and additional axis reductions.
+//! Elementwise convenience methods.
 
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 impl Tensor {
     /// Elementwise exponential.
@@ -23,11 +23,6 @@ impl Tensor {
         self.map(f32::abs)
     }
 
-    /// Elementwise square.
-    pub fn square(&self) -> Tensor {
-        self.map(|x| x * x)
-    }
-
     /// Clamps every element into `[lo, hi]`.
     ///
     /// # Panics
@@ -36,64 +31,6 @@ impl Tensor {
     pub fn clip(&self, lo: f32, hi: f32) -> Tensor {
         assert!(lo <= hi, "invalid clip range [{}, {}]", lo, hi);
         self.map(|x| x.clamp(lo, hi))
-    }
-
-    /// Maximum along `axis`, removing that dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank` or the axis has extent 0.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.fold_axis(axis, f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum along `axis`, removing that dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank` or the axis has extent 0.
-    pub fn min_axis(&self, axis: usize) -> Tensor {
-        self.fold_axis(axis, f32::INFINITY, f32::min)
-    }
-
-    /// Population variance along `axis`, removing that dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank` or the axis has extent 0.
-    pub fn var_axis(&self, axis: usize) -> Tensor {
-        let n = self.dim(axis);
-        assert!(n > 0, "variance over empty axis");
-        let mean = self.mean_axis(axis);
-        let mean_sq = self.map(|x| x * x).mean_axis(axis);
-        mean_sq.zip_map(&mean, |msq, m| (msq - m * m).max(0.0))
-    }
-
-    fn fold_axis(&self, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert!(
-            axis < self.rank(),
-            "axis {} out of range for rank {}",
-            axis,
-            self.rank()
-        );
-        assert!(self.dim(axis) > 0, "reduction over empty axis");
-        let out_shape: Shape = self.shape().remove_axis(axis);
-        let dims = self.dims();
-        let inner: usize = dims[axis + 1..].iter().product();
-        let n_axis = dims[axis];
-        let outer: usize = dims[..axis].iter().product();
-        let src = self.as_slice();
-        let mut out = vec![init; out_shape.len().max(1)];
-        for o in 0..outer {
-            for k in 0..n_axis {
-                let base = (o * n_axis + k) * inner;
-                let obase = o * inner;
-                for i in 0..inner {
-                    out[obase + i] = f(out[obase + i], src[base + i]);
-                }
-            }
-        }
-        Tensor::from_vec(out, out_shape)
     }
 }
 
@@ -106,7 +43,6 @@ mod tests {
     fn unary_maps() {
         let t = Tensor::from_vec(vec![1.0, 4.0], [2]);
         assert_eq!(t.sqrt().as_slice(), &[1.0, 2.0]);
-        assert_eq!(t.square().as_slice(), &[1.0, 16.0]);
         let n = Tensor::from_vec(vec![-2.0, 3.0], [2]);
         assert_eq!(n.abs().as_slice(), &[2.0, 3.0]);
     }
@@ -128,42 +64,5 @@ mod tests {
     #[should_panic(expected = "invalid clip range")]
     fn clip_rejects_inverted_range() {
         Tensor::zeros([1]).clip(1.0, 0.0);
-    }
-
-    #[test]
-    fn max_min_axis() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, 3.0, 4.0, 2.0, 6.0], [2, 3]);
-        assert_eq!(t.max_axis(1).as_slice(), &[5.0, 6.0]);
-        assert_eq!(t.min_axis(1).as_slice(), &[1.0, 2.0]);
-        assert_eq!(t.max_axis(0).as_slice(), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn max_axis_matches_global_max() {
-        let t = Tensor::randn([3, 4, 5], &mut rng_from_seed(1));
-        let reduced = t.max_axis(0).max_axis(0).max_axis(0);
-        assert!((reduced.item() - t.max()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn var_axis_of_constant_rows_is_zero() {
-        let t = Tensor::from_vec(vec![3.0, 3.0, 3.0, 1.0, 2.0, 3.0], [2, 3]);
-        let v = t.var_axis(1);
-        assert!(v.at(&[0]).abs() < 1e-6);
-        assert!((v.at(&[1]) - 2.0 / 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn var_axis_matches_channel_stats_definition() {
-        let t = Tensor::randn([200], &mut rng_from_seed(2));
-        let v = t.var_axis(0).item();
-        let mean = t.mean();
-        let direct = t
-            .as_slice()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / 200.0;
-        assert!((v - direct).abs() < 1e-4);
     }
 }

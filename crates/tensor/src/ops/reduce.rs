@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn sum_axis_middle_of_rank3() {
-        let t = Tensor::arange(0.0, 1.0, 24).reshape([2, 3, 4]);
+        let t = Tensor::from_vec((0..24).map(|i| i as f32).collect(), [2, 3, 4]);
         let s = t.sum_axis(1);
         assert_eq!(s.dims(), &[2, 4]);
         // element [0,0] = t[0,0,0]+t[0,1,0]+t[0,2,0] = 0+4+8

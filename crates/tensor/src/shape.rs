@@ -164,18 +164,6 @@ impl Shape {
         dims.remove(axis);
         Shape(dims)
     }
-
-    /// Replaces the extent at `axis` with 1 (a kept reduced dimension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.rank()`.
-    pub fn keep_axis(&self, axis: usize) -> Shape {
-        assert!(axis < self.rank(), "axis {} out of range", axis);
-        let mut dims = self.0.clone();
-        dims[axis] = 1;
-        Shape(dims)
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -301,10 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_keep_axis() {
+    fn remove_axis_drops_one_extent() {
         let s = Shape::from([2, 3, 4]);
         assert_eq!(s.remove_axis(1), Shape::from([2, 4]));
-        assert_eq!(s.keep_axis(1), Shape::from([2, 1, 4]));
     }
 
     #[test]

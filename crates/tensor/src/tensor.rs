@@ -61,16 +61,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a 1-d tensor of `n` evenly spaced values starting at `start`
-    /// with step `step`.
-    pub fn arange(start: f32, step: f32, n: usize) -> Self {
-        let data = (0..n).map(|i| start + step * i as f32).collect();
-        Tensor {
-            shape: Shape::from(vec![n]),
-            data,
-        }
-    }
-
     /// Creates a tensor from raw row-major data.
     ///
     /// # Panics
@@ -148,11 +138,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major data.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its raw data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-index.
@@ -246,40 +231,6 @@ impl Tensor {
         }
         Tensor {
             shape: Shape::from([c, r]),
-            data: out,
-        }
-    }
-
-    /// Reorders dimensions according to `perm` (a permutation of `0..rank`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of the axes.
-    pub fn permute(&self, perm: &[usize]) -> Tensor {
-        assert_eq!(perm.len(), self.rank(), "permutation rank mismatch");
-        let mut seen = vec![false; self.rank()];
-        for &p in perm {
-            assert!(
-                p < self.rank() && !seen[p],
-                "invalid permutation {:?}",
-                perm
-            );
-            seen[p] = true;
-        }
-        let new_dims: Vec<usize> = perm.iter().map(|&p| self.dim(p)).collect();
-        let new_shape = Shape::from(new_dims);
-        let old_strides = self.shape.strides();
-        let mut out = Vec::with_capacity(self.len());
-        for flat in 0..self.len() {
-            let new_idx = new_shape.unravel(flat);
-            let mut old_off = 0;
-            for (k, &p) in perm.iter().enumerate() {
-                old_off += new_idx[k] * old_strides[p];
-            }
-            out.push(self.data[old_off]);
-        }
-        Tensor {
-            shape: new_shape,
             data: out,
         }
     }
@@ -403,11 +354,6 @@ impl Tensor {
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f32) {
-        self.data.iter_mut().for_each(|x| *x = value);
     }
 
     /// Extracts the `i`-th slice along axis 0 (e.g. one sample of a batch).
@@ -553,17 +499,17 @@ impl std::ops::Neg for &Tensor {
 mod tests {
     use super::*;
 
+    /// `0, 1, 2, …` laid out row-major over `dims`.
+    fn iota<const N: usize>(dims: [usize; N]) -> Tensor {
+        let n = dims.iter().product();
+        Tensor::from_vec((0..n).map(|i| i as f32).collect(), dims)
+    }
+
     #[test]
     fn zeros_ones_full() {
         assert_eq!(Tensor::zeros([2, 2]).as_slice(), &[0.0; 4]);
         assert_eq!(Tensor::ones([3]).as_slice(), &[1.0; 3]);
         assert_eq!(Tensor::full([2], 7.5).as_slice(), &[7.5, 7.5]);
-    }
-
-    #[test]
-    fn arange_generates_sequence() {
-        let t = Tensor::arange(1.0, 0.5, 4);
-        assert_eq!(t.as_slice(), &[1.0, 1.5, 2.0, 2.5]);
     }
 
     #[test]
@@ -599,7 +545,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(0.0, 1.0, 6).reshape([2, 3]);
+        let t = iota([2, 3]);
         assert_eq!(t.dims(), &[2, 3]);
         assert_eq!(t.at(&[1, 0]), 3.0);
     }
@@ -619,22 +565,8 @@ mod tests {
 
     #[test]
     fn transpose_twice_is_identity() {
-        let t = Tensor::arange(0.0, 1.0, 12).reshape([3, 4]);
+        let t = iota([3, 4]);
         assert_eq!(t.transpose().transpose(), t);
-    }
-
-    #[test]
-    fn permute_matches_transpose_for_2d() {
-        let t = Tensor::arange(0.0, 1.0, 6).reshape([2, 3]);
-        assert_eq!(t.permute(&[1, 0]), t.transpose());
-    }
-
-    #[test]
-    fn permute_nchw_to_nhwc() {
-        let t = Tensor::arange(0.0, 1.0, 2 * 3 * 4 * 5).reshape([2, 3, 4, 5]);
-        let p = t.permute(&[0, 2, 3, 1]);
-        assert_eq!(p.dims(), &[2, 4, 5, 3]);
-        assert_eq!(p.at(&[1, 2, 3, 1]), t.at(&[1, 1, 2, 3]));
     }
 
     #[test]
@@ -671,7 +603,7 @@ mod tests {
 
     #[test]
     fn index_axis0_extracts_sample() {
-        let t = Tensor::arange(0.0, 1.0, 12).reshape([3, 2, 2]);
+        let t = iota([3, 2, 2]);
         let s = t.index_axis0(1);
         assert_eq!(s.dims(), &[2, 2]);
         assert_eq!(s.as_slice(), &[4.0, 5.0, 6.0, 7.0]);
@@ -706,7 +638,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let t = Tensor::arange(0.0, 1.0, 6).reshape([2, 3]);
+        let t = iota([2, 3]);
         let json = serde_json::to_string(&t).unwrap();
         let back: Tensor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);

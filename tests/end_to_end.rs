@@ -4,7 +4,7 @@
 use spatio_temporal_split_learning::data::{Partition, SyntheticCifar};
 use spatio_temporal_split_learning::split::{
     baselines::{vanilla_split, CentralizedTrainer, FedAvgTrainer},
-    CnnArch, CutPoint, PartitionKind, SpatioTemporalTrainer, SplitConfig,
+    CnnArch, CutPoint, SpatioTemporalTrainer, SplitConfig,
 };
 
 fn train_data(n: usize) -> spatio_temporal_split_learning::data::ImageDataset {
@@ -41,9 +41,9 @@ fn all_partition_schemes_work_end_to_end() {
     let train = train_data(120);
     let test = test_data(20);
     for partition in [
-        PartitionKind::Iid,
-        PartitionKind::Dirichlet { alpha: 0.5 },
-        PartitionKind::Shards {
+        Partition::Iid,
+        Partition::Dirichlet { alpha: 0.5 },
+        Partition::Shards {
             shards_per_client: 2,
         },
     ] {
