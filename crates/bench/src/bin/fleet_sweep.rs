@@ -126,6 +126,17 @@ fn main() {
         rows.push(Row::from_report(&report, false));
     }
 
+    // An accuracy column means something only if every cohort trained.
+    for r in &rows {
+        assert!(
+            r.cohort_steps >= r.cohorts as u64,
+            "{} clients: {} cohort steps for {} cohorts, so the row never trained",
+            r.clients,
+            r.cohort_steps,
+            r.cohorts
+        );
+    }
+
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

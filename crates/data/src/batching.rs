@@ -13,7 +13,6 @@ use stsl_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     batch_size: usize,
-    drop_last: bool,
     seed: u64,
 }
 
@@ -25,17 +24,7 @@ impl BatchPlan {
     /// Panics if `batch_size == 0`.
     pub fn new(batch_size: usize, seed: u64) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        BatchPlan {
-            batch_size,
-            drop_last: false,
-            seed,
-        }
-    }
-
-    /// Drops a trailing partial batch (builder style).
-    pub fn drop_last(mut self) -> Self {
-        self.drop_last = true;
-        self
+        BatchPlan { batch_size, seed }
     }
 
     /// The configured batch size.
@@ -47,12 +36,7 @@ impl BatchPlan {
     pub fn epoch_indices(&self, len: usize, epoch: u64) -> Vec<Vec<usize>> {
         let mut idx: Vec<usize> = (0..len).collect();
         idx.shuffle(&mut rng_from_seed(derive_seed(self.seed, epoch)));
-        let mut batches: Vec<Vec<usize>> =
-            idx.chunks(self.batch_size).map(|c| c.to_vec()).collect();
-        if self.drop_last {
-            batches.retain(|b| b.len() == self.batch_size);
-        }
-        batches
+        idx.chunks(self.batch_size).map(|c| c.to_vec()).collect()
     }
 
     /// Iterates `(images, labels)` batches of `dataset` for `epoch`.
@@ -67,11 +51,7 @@ impl BatchPlan {
 
     /// Number of batches per epoch for a dataset of `len` samples.
     pub fn batches_per_epoch(&self, len: usize) -> usize {
-        if self.drop_last {
-            len / self.batch_size
-        } else {
-            len.div_ceil(self.batch_size)
-        }
+        len.div_ceil(self.batch_size)
     }
 }
 
@@ -96,15 +76,6 @@ mod tests {
         let e1 = plan.epoch_indices(16, 1);
         assert_ne!(e0, e1);
         assert_eq!(e0, BatchPlan::new(4, 5).epoch_indices(16, 0));
-    }
-
-    #[test]
-    fn drop_last_removes_partial_batch() {
-        let plan = BatchPlan::new(3, 0).drop_last();
-        let batches = plan.epoch_indices(7, 0);
-        assert_eq!(batches.len(), 2);
-        assert_eq!(plan.batches_per_epoch(7), 2);
-        assert_eq!(BatchPlan::new(3, 0).batches_per_epoch(7), 3);
     }
 
     #[test]

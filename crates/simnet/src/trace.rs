@@ -1,15 +1,16 @@
 //! Event recording: one recorder decides which sinks an event reaches.
 //!
-//! Every trainer and the fleet record their protocol events through an
-//! [`EventLog`]. A record always bumps the
-//! log's counter bank (the source of every event-count report field),
+//! Every trainer and the fleet record their protocol events, metric
+//! samples and snapshots through an [`EventLog`]. A record always bumps
+//! the log's counter bank (the source of every event-count report field),
 //! appends to the [`TraceLog`] when tracing is on, and journals into the
-//! attached [`TelemetryHub`] when the kind is journaled. Experiments
+//! attached [`TelemetryHub`] when the kind is journaled. Metric samples
+//! and snapshots reach the hub only when one is attached. Experiments
 //! slice the trace by time window or end-system afterwards, which is
 //! useful for plotting queue dynamics without re-running the simulation.
 
 use crate::{EndSystemId, SimTime};
-use stsl_telemetry::{EventKind, TelemetryHub};
+use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
 
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,9 @@ impl TraceLog {
     }
 }
 
-/// The one event recorder: a counter bank per [`EventKind`], plus an
-/// optional trace and an optional telemetry hub.
+/// The one recorder: a counter bank per [`EventKind`], plus an optional
+/// trace and an optional telemetry hub for events, metric samples and
+/// snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     counts: [u64; EventKind::COUNT],
@@ -112,8 +114,9 @@ impl EventLog {
         self.trace = Some(TraceLog::default());
     }
 
-    /// Attaches a telemetry hub; every later record of a journaled kind
-    /// is journaled into it.
+    /// Attaches a telemetry hub: every later record of a journaled kind
+    /// is journaled into it, and every later metric sample and snapshot
+    /// goes to it.
     pub fn attach_hub(&mut self, hub: TelemetryHub) {
         self.hub = Some(hub);
     }
@@ -139,6 +142,25 @@ impl EventLog {
         }
     }
 
+    /// Records one metric sample into the attached hub; does nothing
+    /// without one.
+    pub fn observe(&mut self, metric: MetricId, actor: EndSystemId, value: u64) {
+        if let Some(hub) = &mut self.hub {
+            hub.record(metric, actor.0 as u64, value);
+        }
+    }
+
+    /// Emits a hub snapshot at `at` and records it as
+    /// [`EventKind::SnapshotEmit`] for `actor`; does nothing without a
+    /// hub.
+    pub fn snapshot(&mut self, at: SimTime, actor: EndSystemId) {
+        let Some(hub) = &mut self.hub else {
+            return;
+        };
+        hub.emit_snapshot(at.as_micros());
+        self.record(at, EventKind::SnapshotEmit, actor);
+    }
+
     /// Events of `kind` recorded since creation or the last
     /// [`EventLog::reset_counts`].
     pub fn count(&self, kind: EventKind) -> u64 {
@@ -160,12 +182,6 @@ impl EventLog {
     /// The attached telemetry hub, if any.
     pub fn hub(&self) -> Option<&TelemetryHub> {
         self.hub.as_ref()
-    }
-
-    /// Mutable access to the attached hub, for metric samples and
-    /// snapshots.
-    pub fn hub_mut(&mut self) -> Option<&mut TelemetryHub> {
-        self.hub.as_mut()
     }
 }
 
@@ -229,6 +245,33 @@ mod tests {
         assert!(log.trace().is_none());
         log.reset_counts();
         assert_eq!(log.count(EventKind::Retransmit), 0);
+    }
+
+    #[test]
+    fn observe_and_snapshot_do_nothing_without_a_hub() {
+        let mut log = traced();
+        log.observe(MetricId::QueueDepth, EndSystemId(0), 3);
+        log.snapshot(t(1), EndSystemId(1));
+        assert!(log.hub().is_none());
+        assert!(log.trace().unwrap().is_empty());
+        assert_eq!(log.count(EventKind::SnapshotEmit), 0);
+    }
+
+    #[test]
+    fn snapshot_emits_once_and_records_one_snapshot_emit() {
+        let mut log = traced();
+        log.attach_hub(TelemetryHub::new(8));
+        log.observe(MetricId::QueueDepth, EndSystemId(2), 5);
+        log.snapshot(t(4), EndSystemId(3));
+        let hub = log.hub().unwrap();
+        assert_eq!(hub.snapshots().len(), 1);
+        assert_eq!(hub.latest_snapshot().unwrap().at_us, 4_000);
+        let depth = hub.registry().histogram(MetricId::QueueDepth, 2).unwrap();
+        assert_eq!(depth.max(), Some(5));
+        assert_eq!(log.count(EventKind::SnapshotEmit), 1);
+        let trace = log.trace().unwrap();
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace.count_for(EventKind::SnapshotEmit, EndSystemId(3)), 1);
     }
 
     #[test]

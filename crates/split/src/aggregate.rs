@@ -411,11 +411,6 @@ impl RobustAggregator {
         self.policy
     }
 
-    /// The window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Resizes the window (e.g. to track the non-quarantined cohort so
     /// exiling an attacker does not slow the optimizer cadence: a window
     /// waiting on updates that can never arrive starves the model).
@@ -719,11 +714,11 @@ mod tests {
     #[test]
     fn zero_window_clamps_to_one() {
         let mut agg = RobustAggregator::new(AggregationPolicy::Mean, 0);
-        assert_eq!(agg.window(), 1);
+        assert_eq!(agg.window, 1);
         // Every push fires a window of one.
         assert!(agg.push(0, vec![2.0]).is_some());
         agg.set_window(0);
-        assert_eq!(agg.window(), 1);
+        assert_eq!(agg.window, 1);
     }
 
     #[test]

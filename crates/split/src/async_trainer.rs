@@ -42,11 +42,13 @@ use crate::aggregate::AggregationPolicy;
 use crate::checkpoint::{Checkpoint, CheckpointRing};
 use crate::client::EndSystem;
 use crate::config::{DeadlineConfig, OverloadConfig, SplitConfig};
-use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog, QuarantineStatus, QuarantineTracker};
+use crate::guard::{
+    tensor_rms, GuardConfig, HealthWatchdog, QuarantineStatus, QuarantineTracker, LR_COOLDOWN,
+};
 use crate::membership::{Membership, MembershipState, QuorumLost};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use crate::report::{AsyncReport, CommReport};
-use crate::resilience::{BreakerConfig, BreakerDecision, CircuitBreaker, RetryPolicy};
+use crate::resilience::{BreakerDecision, CircuitBreaker, RetryPolicy};
 use crate::scheduler::{ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use crate::trainer::ConfigError;
@@ -305,7 +307,7 @@ impl AsyncSplitTrainer {
             batches_lost_per_client: Vec::new(),
             quarantine: QuarantineTracker::new(n, &GuardConfig::default()),
             membership: Membership::new(n),
-            breaker: CircuitBreaker::new(n, BreakerConfig::default()),
+            breaker: CircuitBreaker::new(n, &OverloadConfig::default()),
             buckets: Vec::new(),
             deadline_snapshot: Vec::new(),
             attack_rngs: Vec::new(),
@@ -543,28 +545,23 @@ impl AsyncSplitTrainer {
     /// [`EventKind::SnapshotEmit`]).
     fn emit_snapshot(&mut self, t: SimTime) {
         let server_id = self.server_trace_id();
-        let shed = self.log.count(EventKind::IngressShed);
-        let overload = self.overload.is_some();
-        let robust = self.server.robust_enabled();
-        let rejected = self.log.count(EventKind::RobustOutlier)
-            + self.log.count(EventKind::AnomalyRejected)
-            + self.log.count(EventKind::QuarantineDrop);
-        let Some(hub) = self.log.hub_mut() else {
-            return;
-        };
-        if overload {
+        if self.overload.is_some() {
             // Cumulative shed total sampled once per snapshot — the
             // dashboard's shed-rate series.
-            hub.record(MetricId::ShedRate, server_id.0 as u64, shed);
+            let shed = self.log.count(EventKind::IngressShed);
+            self.log.observe(MetricId::ShedRate, server_id, shed);
         }
-        if robust {
+        if self.server.robust_enabled() {
             // Cumulative defense-layer refusals (ingress anomalies,
             // quarantine drops, robust outliers), sampled once per
             // snapshot — the dashboard's rejected-update series.
-            hub.record(MetricId::RejectedUpdateRate, server_id.0 as u64, rejected);
+            let rejected = self.log.count(EventKind::RobustOutlier)
+                + self.log.count(EventKind::AnomalyRejected)
+                + self.log.count(EventKind::QuarantineDrop);
+            self.log
+                .observe(MetricId::RejectedUpdateRate, server_id, rejected);
         }
-        hub.emit_snapshot(t.as_micros());
-        self.log.record(t, EventKind::SnapshotEmit, server_id);
+        self.log.snapshot(t, server_id);
     }
 
     /// Runs the configured number of client epochs to completion and
@@ -600,21 +597,7 @@ impl AsyncSplitTrainer {
     /// Returns [`QuorumLost`] when no active member remains and work is
     /// left.
     pub fn try_run(&mut self, test: &ImageDataset) -> Result<AsyncReport, QuorumLost> {
-        self.try_run_with_budget(test, None)
-    }
-
-    /// Budgeted counterpart of [`AsyncSplitTrainer::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumLost`] when no active member remains and work is
-    /// left.
-    pub fn try_run_with_budget(
-        &mut self,
-        test: &ImageDataset,
-        budget: Option<SimDuration>,
-    ) -> Result<AsyncReport, QuorumLost> {
-        match self.run_inner(test, budget) {
+        match self.run_inner(test, None) {
             (_, Some(lost)) => Err(lost),
             (report, None) => Ok(report),
         }
@@ -640,14 +623,7 @@ impl AsyncSplitTrainer {
         let mut queue = ArrivalQueue::new(self.policy, n);
         if let Some(cfg) = self.overload {
             queue = queue.with_capacity(cfg.queue_capacity);
-            self.breaker = CircuitBreaker::new(
-                n,
-                BreakerConfig {
-                    threshold: cfg.breaker_threshold,
-                    base_open: SimDuration::from_millis(cfg.breaker_base_open_ms),
-                    max_open: SimDuration::from_millis(cfg.breaker_max_open_ms),
-                },
-            );
+            self.breaker = CircuitBreaker::new(n, &cfg);
             self.buckets = (0..n)
                 .map(|_| TokenBucket::new(cfg.bucket_rate, cfg.bucket_burst))
                 .collect();
@@ -855,16 +831,14 @@ impl AsyncSplitTrainer {
             return;
         }
         self.log.record(t, EventKind::Arrival, id);
-        if self.overload.is_some() {
-            let victims = self.queue.push_shed_observed(t, msg, self.log.hub_mut());
-            for victim in victims {
-                // Oldest-staleness-first shed: the longest-waiting pending
-                // batch makes room.
-                self.log.record(t, EventKind::IngressShed, victim.from);
-                self.lose_batch(victim.from, t);
-            }
-        } else {
-            self.queue.push_observed(t, msg, self.log.hub_mut());
+        let victims = self.queue.push_shed(t, msg);
+        self.log
+            .observe(MetricId::QueueDepth, id, self.queue.depth() as u64);
+        for victim in victims {
+            // Oldest-staleness-first shed (overload control only): the
+            // longest-waiting pending batch makes room.
+            self.log.record(t, EventKind::IngressShed, victim.from);
+            self.lose_batch(victim.from, t);
         }
         self.try_serve(t);
     }
@@ -1131,9 +1105,7 @@ impl AsyncSplitTrainer {
     fn note_membership(&mut self) {
         let size = self.membership.member_count() as u64;
         let server_id = self.server_trace_id();
-        if let Some(hub) = self.log.hub_mut() {
-            hub.record(MetricId::MembershipSize, server_id.0 as u64, size);
-        }
+        self.log.observe(MetricId::MembershipSize, server_id, size);
     }
 
     /// Whether end-system `i` has produced (and been acked for) every
@@ -1229,7 +1201,7 @@ impl AsyncSplitTrainer {
     /// co-adapted, so they roll back together), cool the learning rate,
     /// and re-arm the watchdog. Repeated divergences pop progressively
     /// older entries.
-    fn rollback(&mut self, t: SimTime, guard: &GuardConfig) {
+    fn rollback(&mut self, t: SimTime) {
         let server_id = self.server_trace_id();
         self.log.record(t, EventKind::Rollback, server_id);
         if let Some(ckpt) = self.ring.pop_latest() {
@@ -1238,7 +1210,7 @@ impl AsyncSplitTrainer {
                 client.model_mut().load_state_dict(state);
             }
         }
-        self.server.scale_learning_rate(guard.lr_cooldown);
+        self.server.scale_learning_rate(LR_COOLDOWN);
         // A half-filled aggregation window straddling the rollback point
         // mixes pre- and post-restore gradients; drop it.
         self.server.clear_robust_buffer();
@@ -1367,9 +1339,7 @@ impl AsyncSplitTrainer {
                 if self.overload.is_some() {
                     self.breaker.record_success(id);
                 }
-                if let Some(hub) = self.log.hub_mut() {
-                    hub.record(latency, id.0 as u64, dur.as_micros());
-                }
+                self.log.observe(latency, id, dur.as_micros());
                 self.events.schedule(at + dur, deliver);
             }
             None => {
@@ -1464,7 +1434,7 @@ impl AsyncSplitTrainer {
         if self.server_busy_until > t || self.queue.is_empty() {
             return;
         }
-        let (job, discarded) = self.queue.pop_observed(t, self.log.hub_mut());
+        let (job, discarded) = self.queue.pop(t);
         for msg in discarded {
             self.log.record(t, EventKind::SchedulerDrop, msg.from);
             // The client is still awaiting a gradient for this batch.
@@ -1472,14 +1442,12 @@ impl AsyncSplitTrainer {
         }
         let Some(job) = job else { return };
         let id = job.msg.from;
+        // Staleness at apply time: the queueing delay between arrival
+        // and the server consuming the update.
+        let staleness = t.since(job.arrived_at).as_micros();
+        self.log.observe(MetricId::GradientStaleness, id, staleness);
         self.log.record(t, EventKind::ServiceStart, id);
-        let service_us = self.compute.server_batch.as_micros();
-        let out = match self.server.process_observed(
-            &job.msg,
-            self.guard.as_ref(),
-            self.log.hub_mut(),
-            service_us,
-        ) {
+        let out = match self.server.process(&job.msg, self.guard.as_ref()) {
             Ok(out) => out,
             Err(_) => {
                 // Only reachable with the guard on: ingress validation
@@ -1496,10 +1464,12 @@ impl AsyncSplitTrainer {
                 return;
             }
         };
+        let service_us = self.compute.server_batch.as_micros();
+        self.log.observe(MetricId::ServiceTime, id, service_us);
         let done = t + self.compute.server_batch;
         self.server_busy_until = done;
         self.events.schedule(done, Event::ServerFree);
-        if let Some(g) = self.guard {
+        if self.guard.is_some() {
             // With robust aggregation on, the quarantine clean-credit is
             // deferred to the window verdict below: a sender is "clean"
             // when its update survives statistical scrutiny, not when it
@@ -1516,7 +1486,7 @@ impl AsyncSplitTrainer {
                 // The optimizer step that just happened poisoned the
                 // shared model: roll back instead of propagating the
                 // gradient. The batch still cost server time.
-                self.rollback(t, &g);
+                self.rollback(t);
                 self.lose_batch(id, done);
                 return;
             }
@@ -1525,13 +1495,9 @@ impl AsyncSplitTrainer {
             self.updates_trimmed += apply.trimmed as u64;
             let server_id = self.server_trace_id();
             self.log.record(t, EventKind::RobustApply, server_id);
-            if let Some(hub) = self.log.hub_mut() {
-                hub.record(
-                    MetricId::TrimFraction,
-                    server_id.0 as u64,
-                    apply.trim_fraction_permille,
-                );
-            }
+            let permille = apply.trim_fraction_permille;
+            self.log
+                .observe(MetricId::TrimFraction, server_id, permille);
             if self.guard.is_some() {
                 // The deferred clean-credit: window members the policy
                 // did not flag decay their anomaly score here.
@@ -2125,7 +2091,8 @@ mod tests {
                 bucket_rate: 1_000,
                 bucket_burst: 1_000,
                 ..OverloadConfig::default()
-            });
+            })
+            .with_telemetry(SimDuration::from_millis(100), 64);
         t.enable_trace();
         let r = t.run(&test);
         assert!(r.batches_shed > 0, "expected shedding: {:?}", r);
@@ -2136,6 +2103,49 @@ mod tests {
         );
         assert_eq!(r.batches_lost, r.batches_shed);
         assert!(!t.queue_depth_samples().is_empty());
+        // The recorded post-insert depth respects the bound as well.
+        let registry = t.telemetry().unwrap().registry();
+        for id in 0..3 {
+            let depth = registry.histogram(MetricId::QueueDepth, id).unwrap();
+            assert_eq!(depth.max(), Some(1), "end-system {id}");
+        }
+    }
+
+    #[test]
+    fn staleness_is_service_start_minus_arrival() {
+        // A slow server makes batches queue. Without faults each client's
+        // arrivals and service starts alternate, so they pair up in order.
+        let cfg = SplitConfig::tiny(CutPoint(1), 3).epochs(1).batch_size(8);
+        let compute = ComputeModel {
+            client_batch: SimDuration::from_millis(1),
+            server_batch: SimDuration::from_millis(40),
+        };
+        let top = StarTopology::uniform(3, Link::wan(5.0, 100.0));
+        let mut t = AsyncSplitTrainer::new(cfg, &data(72), top, SchedulingPolicy::Fifo, compute)
+            .unwrap()
+            .with_telemetry(SimDuration::from_millis(100), 64);
+        t.enable_trace();
+        t.run(&data(8));
+        let events = t.trace().unwrap().events();
+        let registry = t.telemetry().unwrap().registry();
+        for id in 0..3 {
+            let at = |kind| {
+                events
+                    .iter()
+                    .filter(move |e| e.kind == kind && e.end_system.0 == id)
+                    .map(|e| e.at)
+            };
+            let waits: Vec<u64> = at(EventKind::Arrival)
+                .zip(at(EventKind::ServiceStart))
+                .map(|(arrived, served)| served.since(arrived).as_micros())
+                .collect();
+            let stale = registry
+                .histogram(MetricId::GradientStaleness, id as u64)
+                .unwrap();
+            assert_eq!(stale.count(), waits.len() as u64);
+            assert_eq!(stale.max(), waits.iter().max().copied());
+            assert!(stale.max() > Some(0), "end-system {id} never waited");
+        }
     }
 
     #[test]

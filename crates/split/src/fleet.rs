@@ -46,6 +46,10 @@ use crate::model::{CnnArch, CutPoint};
 /// continental, intercontinental (microseconds).
 const LATENCY_CLASSES_US: [u64; 4] = [5_000, 20_000, 60_000, 120_000];
 
+/// Real training steps each cohort takes in a [`FleetConfig::smoke`] run,
+/// give or take the arrivals lost to departures and admission control.
+const SMOKE_STEPS_PER_COHORT: u64 = 16;
+
 /// Configuration of a fleet run. Everything is deterministic given
 /// `seed`; per-end-system variation comes from seed-derived hashes.
 #[derive(Debug, Clone)]
@@ -92,10 +96,12 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A CI-scale preset: `clients` end-systems in 8 cohorts on the tiny
-    /// architecture, a few sends each — finishes in seconds at 1k–10k
-    /// clients.
+    /// architecture, a few sends each — finishes in seconds at 1k–100k
+    /// clients. The step cadence is derived from the arrivals one cohort
+    /// is served, so every cohort takes about 16 real training steps at
+    /// any fleet size.
     pub fn smoke(clients: usize) -> Self {
-        FleetConfig {
+        let mut cfg = FleetConfig {
             clients,
             cohorts: 8.min(clients.max(1)),
             arch: CnnArch::tiny(),
@@ -104,7 +110,7 @@ impl FleetConfig {
             learning_rate: 0.05,
             seed: 17,
             sends_per_client: 4,
-            arrivals_per_step: (clients as u64 / 2).max(1),
+            arrivals_per_step: 1,
             think_us: 200_000,
             serve_interval_us: 2_000,
             ingress_batch: 64,
@@ -114,7 +120,16 @@ impl FleetConfig {
             step_service_us: 3_000,
             snapshot_every_us: 100_000,
             leave_permille: 50,
-        }
+        };
+        // Served arrivals are bounded by the sends and by what the server
+        // drains, one ingress batch per interval, over the send horizon
+        // (each think time is at most 1.5 × `think_us`).
+        let sends = clients as u64 * cfg.sends_per_client as u64;
+        let horizon_us = cfg.sends_per_client as u64 * cfg.think_us * 3 / 2;
+        let drain = cfg.ingress_batch as u64 * (horizon_us / cfg.serve_interval_us);
+        let served_per_cohort = sends.min(drain) / cfg.cohorts as u64;
+        cfg.arrivals_per_step = (served_per_cohort / SMOKE_STEPS_PER_COHORT).max(1);
+        cfg
     }
 
     /// The cross-validation preset both `scale_sweep` and `fleet_sweep`
@@ -445,7 +460,9 @@ impl FleetTrainer {
         };
         // Bounded ingress: oldest pending jobs shed under overload; the
         // post-insert depth lands in telemetry keyed by cohort.
-        self.queue.push_shed_observed(now, job, self.log.hub_mut());
+        self.queue.push_shed(now, job);
+        let depth = self.queue.depth() as u64;
+        self.log.observe(MetricId::QueueDepth, job.sender(), depth);
         if !self.server_busy {
             self.server_busy = true;
             let at = now + SimDuration::from_micros(self.config.serve_interval_us);
@@ -457,8 +474,11 @@ impl FleetTrainer {
         // Streamed batched ingress: drain up to one batch per wake
         // instead of waking per arrival.
         for _ in 0..self.config.ingress_batch {
-            let (job, _) = self.queue.pop_observed(now, self.log.hub_mut());
+            let (job, _) = self.queue.pop(now);
             let Some(job) = job else { break };
+            let staleness = now.since(job.arrived_at).as_micros();
+            self.log
+                .observe(MetricId::GradientStaleness, job.msg.sender(), staleness);
             self.served += 1;
             let c = job.msg.cohort as usize;
             self.step_credit[c] += 1;
@@ -491,20 +511,17 @@ impl FleetTrainer {
                 }
             }
         };
-        let step = self.server.process_observed(
-            &msg,
-            None,
-            self.log.hub_mut(),
-            self.config.step_service_us,
-        );
-        if let Ok(out) = step {
-            if self.replicas[c].apply_gradient(&out.gradient).is_err() {
-                self.replicas[c].abandon_outstanding();
-            }
-            self.log.record(now, EventKind::CohortStep, EndSystemId(c));
-        } else {
+        let Ok(out) = self.server.process(&msg, None) else {
+            self.replicas[c].abandon_outstanding();
+            return;
+        };
+        let service_us = self.config.step_service_us;
+        self.log
+            .observe(MetricId::ServiceTime, EndSystemId(c), service_us);
+        if self.replicas[c].apply_gradient(&out.gradient).is_err() {
             self.replicas[c].abandon_outstanding();
         }
+        self.log.record(now, EventKind::CohortStep, EndSystemId(c));
     }
 
     fn on_depart(&mut self, now: SimTime, i: u32) {
@@ -520,15 +537,11 @@ impl FleetTrainer {
     fn on_snapshot(&mut self, now: SimTime) {
         // O(cohorts) per tick: one CohortSize sample per cohort, then
         // the registry snapshot (whose actors are all cohort-keyed).
-        if let Some(hub) = self.log.hub_mut() {
-            for (c, &n) in self.live.iter().enumerate() {
-                hub.record(MetricId::CohortSize, c as u64, n);
-            }
-            hub.emit_snapshot(now.as_micros());
+        for (c, &n) in self.live.iter().enumerate() {
+            self.log.observe(MetricId::CohortSize, EndSystemId(c), n);
         }
         // Server-scoped events use the id one past the last end-system.
-        let server = EndSystemId(self.config.clients);
-        self.log.record(now, EventKind::SnapshotEmit, server);
+        self.log.snapshot(now, EndSystemId(self.config.clients));
         // Tick liveness: only reschedule while real work is pending,
         // so a drained simulation actually terminates.
         if self.pending_work > 0 {
@@ -619,6 +632,20 @@ mod tests {
         let journal = fleet.telemetry().expect("fleet hub").journal_log();
         assert_eq!(journal.count(EventKind::CohortStep), 0);
         assert!(journal.count(EventKind::SnapshotEmit) > 0);
+    }
+
+    #[test]
+    fn smoke_steps_every_cohort() {
+        let mut fleet = FleetTrainer::new(FleetConfig::smoke(1_000), &data(320)).unwrap();
+        let report = fleet.run(&data(16));
+        assert!(report.cohort_steps >= report.cohorts as u64);
+        for (c, replica) in fleet.replicas.iter().enumerate() {
+            assert!(
+                replica.grads_applied() >= SMOKE_STEPS_PER_COHORT / 2,
+                "cohort {c} took only {} steps",
+                replica.grads_applied()
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,17 @@
 use stsl_simnet::{SimDuration, SimTime};
 use stsl_tensor::Tensor;
 
+/// The watchdog treats a cut-layer gradient whose RMS exceeds this as
+/// divergence (healthy values sit around 1, as for [`GuardConfig`]).
+pub(crate) const MAX_GRADIENT_RMS: f32 = 1e3;
+
+/// Multiplier applied to an end-system's anomaly score on every clean
+/// update (scores decay instead of accumulating forever).
+pub(crate) const ANOMALY_DECAY: f32 = 0.5;
+
+/// Learning-rate multiplier applied on every watchdog rollback.
+pub(crate) const LR_COOLDOWN: f32 = 0.5;
+
 /// Tuning knobs for the integrity guard. All-default values are sized for
 /// the workspace's tiny CNNs, where healthy activation and gradient RMS
 /// values sit around 1.
@@ -20,8 +31,6 @@ use stsl_tensor::Tensor;
 pub struct GuardConfig {
     /// Reject an incoming activation tensor whose RMS exceeds this.
     pub max_activation_rms: f32,
-    /// Treat a cut-layer gradient whose RMS exceeds this as divergence.
-    pub max_gradient_rms: f32,
     /// Declare divergence when the batch loss exceeds this multiple of the
     /// running loss average (after [`GuardConfig::warmup_steps`]).
     pub loss_blowup: f32,
@@ -30,14 +39,9 @@ pub struct GuardConfig {
     pub warmup_steps: u64,
     /// Anomaly score at which an end-system is quarantined.
     pub quarantine_threshold: f32,
-    /// Multiplier applied to an end-system's anomaly score on every clean
-    /// update (scores decay instead of accumulating forever).
-    pub anomaly_decay: f32,
     /// How long a quarantined end-system's updates are dropped before it
     /// is allowed a probationary rejoin.
     pub probation: SimDuration,
-    /// Learning-rate multiplier applied on every watchdog rollback.
-    pub lr_cooldown: f32,
     /// Capacity of the good-checkpoint ring the watchdog rolls back to.
     pub ring_capacity: usize,
     /// Robust-aggregation outlier threshold: a window member whose L2
@@ -53,13 +57,10 @@ impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
             max_activation_rms: 1e3,
-            max_gradient_rms: 1e3,
             loss_blowup: 8.0,
             warmup_steps: 16,
             quarantine_threshold: 3.0,
-            anomaly_decay: 0.5,
             probation: SimDuration::from_millis(500),
-            lr_cooldown: 0.5,
             ring_capacity: 4,
             outlier_factor: 3.0,
         }
@@ -129,7 +130,7 @@ pub enum QuarantineStatus {
 /// Per-end-system anomaly scores with quarantine and probationary rejoin.
 ///
 /// Every anomaly adds one point to the sender's score; every clean update
-/// decays the score by [`GuardConfig::anomaly_decay`]. Crossing
+/// decays the score by `ANOMALY_DECAY`. Crossing
 /// [`GuardConfig::quarantine_threshold`] puts the end-system in quarantine:
 /// its updates are dropped until [`GuardConfig::probation`] elapses, after
 /// which the next update is admitted on probation with a reset score (a
@@ -139,7 +140,6 @@ pub struct QuarantineTracker {
     scores: Vec<f32>,
     until: Vec<Option<SimTime>>,
     threshold: f32,
-    decay: f32,
     probation: SimDuration,
 }
 
@@ -150,7 +150,6 @@ impl QuarantineTracker {
             scores: vec![0.0; end_systems],
             until: vec![None; end_systems],
             threshold: cfg.quarantine_threshold,
-            decay: cfg.anomaly_decay,
             probation: cfg.probation,
         }
     }
@@ -197,7 +196,7 @@ impl QuarantineTracker {
     /// Records a clean, accepted update from `id` (decays its score).
     pub fn record_clean(&mut self, id: usize) {
         if let Some(score) = self.scores.get_mut(id) {
-            *score *= self.decay;
+            *score *= ANOMALY_DECAY;
         }
     }
 
@@ -214,16 +213,16 @@ impl QuarantineTracker {
 
 /// Divergence detector over the training-loss and gradient-norm streams.
 ///
-/// Divergence is any of: non-finite loss, non-finite or norm-exploded cut
-/// gradient, or — once [`GuardConfig::warmup_steps`] observations are in —
-/// a batch loss more than [`GuardConfig::loss_blowup`] times the
-/// exponential moving average. On divergence the caller rolls back to the
+/// Divergence is any of: non-finite loss, a cut gradient that is
+/// non-finite or whose RMS exceeds `MAX_GRADIENT_RMS`, or — once
+/// [`GuardConfig::warmup_steps`] observations are in — a batch loss more
+/// than [`GuardConfig::loss_blowup`] times the exponential moving
+/// average. On divergence the caller rolls back to the
 /// last good checkpoint and calls [`HealthWatchdog::reset`] so the EMA
 /// restarts from the restored state.
 #[derive(Debug, Clone)]
 pub struct HealthWatchdog {
     loss_blowup: f32,
-    max_gradient_rms: f32,
     warmup: u64,
     ema: f64,
     observed: u64,
@@ -238,7 +237,6 @@ impl HealthWatchdog {
     pub fn new(cfg: &GuardConfig) -> Self {
         HealthWatchdog {
             loss_blowup: cfg.loss_blowup,
-            max_gradient_rms: cfg.max_gradient_rms,
             warmup: cfg.warmup_steps,
             ema: 0.0,
             observed: 0,
@@ -252,11 +250,7 @@ impl HealthWatchdog {
     pub fn observe(&mut self, loss: f32, grad_rms: f32) -> bool {
         let blown_up = self.observed >= self.warmup
             && loss as f64 > self.loss_blowup as f64 * self.ema.max(1e-6);
-        if !loss.is_finite()
-            || !grad_rms.is_finite()
-            || grad_rms > self.max_gradient_rms
-            || blown_up
-        {
+        if !loss.is_finite() || !grad_rms.is_finite() || grad_rms > MAX_GRADIENT_RMS || blown_up {
             self.divergences += 1;
             return true;
         }
@@ -361,7 +355,7 @@ mod tests {
 
     #[test]
     fn clean_updates_decay_the_score() {
-        let cfg = GuardConfig::default(); // threshold 3, decay 0.5
+        let cfg = GuardConfig::default(); // threshold 3; ANOMALY_DECAY is 0.5
         let mut q = QuarantineTracker::new(1, &cfg);
         q.record_anomaly(0, t(0));
         q.record_anomaly(0, t(1));
@@ -397,7 +391,6 @@ mod tests {
         let cfg = GuardConfig {
             warmup_steps: 4,
             loss_blowup: 4.0,
-            max_gradient_rms: 100.0,
             ..GuardConfig::default()
         };
         let mut w = HealthWatchdog::new(&cfg);
@@ -408,7 +401,7 @@ mod tests {
         assert!((w.loss_ema().unwrap() - 1.0).abs() < 1e-6);
         // NaN loss and exploding gradient are divergence regardless of EMA.
         assert!(w.observe(f32::NAN, 0.5));
-        assert!(w.observe(1.0, 1e4));
+        assert!(w.observe(1.0, MAX_GRADIENT_RMS * 10.0));
         assert!(w.observe(1.0, f32::INFINITY));
         // A 4x loss blow-up trips after warmup.
         assert!(w.observe(4.5, 0.5));

@@ -77,7 +77,7 @@ pub use guard::{
 pub use membership::{Membership, MembershipError, MembershipState, QuorumLost};
 pub use model::{CnnArch, CutPoint, PoolKind, LAYERS_PER_BLOCK};
 pub use report::{AsyncReport, CommReport, EpochStats, FleetReport, TrainReport};
-pub use resilience::{BreakerConfig, BreakerDecision, CircuitBreaker, RetryPolicy};
+pub use resilience::{BreakerDecision, CircuitBreaker, RetryPolicy};
 pub use scheduler::{ArrivalJob, ArrivalQueue, QueuedJob, SchedulingPolicy, TokenBucket};
 pub use server::{CentralServer, ServerStepOutput};
 pub use trainer::{ConfigError, SpatioTemporalTrainer};

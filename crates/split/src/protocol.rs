@@ -203,6 +203,14 @@ fn tensor_encoded_len(t: &Tensor) -> usize {
     1 + 4 * t.rank() + 4 * t.len()
 }
 
+/// Exact size in bytes of a frame whose payload carries one tensor and
+/// no labels: integrity header, payload header, then the tensor. This is
+/// a [`GradientMsg`] frame, and every leg of the label-private U-shaped
+/// protocol.
+pub fn tensor_frame_len(t: &Tensor) -> usize {
+    WIRE_HEADER_BYTES + PAYLOAD_HEADER_BYTES + tensor_encoded_len(t)
+}
+
 fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
     buf.put_u8(t.rank() as u8);
     for &d in t.dims() {
@@ -405,7 +413,7 @@ impl ActivationMsg {
 impl GradientMsg {
     /// Exact size of the encoded message in bytes.
     pub fn encoded_len(&self) -> usize {
-        WIRE_HEADER_BYTES + PAYLOAD_HEADER_BYTES + tensor_encoded_len(&self.grad)
+        tensor_frame_len(&self.grad)
     }
 
     /// Serializes to a framed, checksummed byte buffer.

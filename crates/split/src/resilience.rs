@@ -1,6 +1,7 @@
 //! Fault-tolerance policies for the asynchronous trainer: retransmission
 //! backoff and per-link circuit breaking.
 
+use crate::config::OverloadConfig;
 use stsl_simnet::{EndSystemId, SimDuration, SimTime};
 
 /// Retransmission policy for lost protocol messages: exponential backoff
@@ -81,27 +82,6 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive delivery failures on one link before it trips open.
-    pub threshold: u32,
-    /// How long the breaker stays open after its first trip.
-    pub base_open: SimDuration,
-    /// Ceiling for the exponentially growing open window.
-    pub max_open: SimDuration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 3,
-            base_open: SimDuration::from_millis(100),
-            max_open: SimDuration::from_millis(3_000),
-        }
-    }
-}
-
 /// Verdict of [`CircuitBreaker::allow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerDecision {
@@ -130,15 +110,20 @@ enum LinkState {
 /// machine — no RNG, no host clock — so runs are bit-reproducible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
+    threshold: u32,
+    base_open: SimDuration,
+    max_open: SimDuration,
     links: Vec<LinkState>,
 }
 
 impl CircuitBreaker {
-    /// A breaker for `n` links, all initially closed.
-    pub fn new(n: usize, cfg: BreakerConfig) -> Self {
+    /// A breaker for `n` links, all initially closed, tuned by the
+    /// overload config's `breaker_*` settings.
+    pub fn new(n: usize, cfg: &OverloadConfig) -> Self {
         CircuitBreaker {
-            cfg,
+            threshold: cfg.breaker_threshold,
+            base_open: SimDuration::from_millis(cfg.breaker_base_open_ms),
+            max_open: SimDuration::from_millis(cfg.breaker_max_open_ms),
             links: vec![LinkState::Closed { failures: 0 }; n],
         }
     }
@@ -146,11 +131,10 @@ impl CircuitBreaker {
     fn open_window(&self, streak: u32) -> SimDuration {
         let factor = 1u64.checked_shl(streak).unwrap_or(u64::MAX);
         let us = self
-            .cfg
             .base_open
             .as_micros()
             .saturating_mul(factor)
-            .min(self.cfg.max_open.as_micros())
+            .min(self.max_open.as_micros())
             .max(1);
         SimDuration::from_micros(us)
     }
@@ -185,7 +169,7 @@ impl CircuitBreaker {
         match self.links[id.0] {
             LinkState::Closed { failures } => {
                 let failures = failures.saturating_add(1);
-                if failures >= self.cfg.threshold.max(1) {
+                if failures >= self.threshold.max(1) {
                     self.links[id.0] = LinkState::Open {
                         until: at + self.open_window(0),
                         streak: 0,
@@ -307,12 +291,13 @@ mod tests {
     #[test]
     fn breaker_trips_after_threshold_and_recloses_on_success() {
         let t = |ms| SimTime::from_millis(ms);
-        let cfg = BreakerConfig {
-            threshold: 3,
-            base_open: SimDuration::from_millis(100),
-            max_open: SimDuration::from_millis(400),
+        let cfg = OverloadConfig {
+            breaker_threshold: 3,
+            breaker_base_open_ms: 100,
+            breaker_max_open_ms: 400,
+            ..OverloadConfig::default()
         };
-        let mut b = CircuitBreaker::new(2, cfg);
+        let mut b = CircuitBreaker::new(2, &cfg);
         let id = EndSystemId(0);
         assert!(!b.record_failure(id, t(1)));
         assert!(!b.record_failure(id, t(2)));
@@ -335,12 +320,13 @@ mod tests {
     #[test]
     fn failed_probes_double_the_open_window_up_to_the_cap() {
         let t = |ms| SimTime::from_millis(ms);
-        let cfg = BreakerConfig {
-            threshold: 1,
-            base_open: SimDuration::from_millis(100),
-            max_open: SimDuration::from_millis(300),
+        let cfg = OverloadConfig {
+            breaker_threshold: 1,
+            breaker_base_open_ms: 100,
+            breaker_max_open_ms: 300,
+            ..OverloadConfig::default()
         };
-        let mut b = CircuitBreaker::new(1, cfg);
+        let mut b = CircuitBreaker::new(1, &cfg);
         let id = EndSystemId(0);
         assert!(b.record_failure(id, t(0)));
         assert_eq!(b.allow(id, t(50)), BreakerDecision::Defer(t(100)));

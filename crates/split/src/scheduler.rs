@@ -12,7 +12,6 @@
 use crate::protocol::ActivationMsg;
 use std::collections::VecDeque;
 use stsl_simnet::{SimDuration, SimTime};
-use stsl_telemetry::{MetricId, TelemetryHub};
 
 /// How the server picks the next queued activation batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,27 +187,13 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
         self.record_depth();
     }
 
-    /// [`ArrivalQueue::push`] that also records the post-insert queue
-    /// depth as [`MetricId::QueueDepth`] for the arriving end-system.
-    pub fn push_observed(
-        &mut self,
-        arrived_at: SimTime,
-        msg: J,
-        telemetry: Option<&mut TelemetryHub>,
-    ) {
-        let actor = msg.sender().0 as u64;
-        self.push(arrived_at, msg);
-        if let Some(hub) = telemetry {
-            hub.record(MetricId::QueueDepth, actor, self.pending.len() as u64);
-        }
-    }
-
     /// Enqueues under the bounded-ingress policy: when the queue is at
     /// capacity, the oldest pending batches (oldest-staleness-first — the
     /// queue front, since arrivals enqueue in time order) are shed to make
     /// room, so the post-insert depth never exceeds the bound. The shed
     /// victims are returned so the trainer can notify their senders.
-    /// Without a configured capacity this is exactly [`ArrivalQueue::push`].
+    /// Without a configured capacity this is exactly [`ArrivalQueue::push`],
+    /// so the trainers and the fleet call this one entry point.
     pub fn push_shed(&mut self, arrived_at: SimTime, msg: J) -> Vec<J> {
         let mut victims = Vec::new();
         if let Some(cap) = self.capacity {
@@ -219,22 +204,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
             }
         }
         self.push(arrived_at, msg);
-        victims
-    }
-
-    /// [`ArrivalQueue::push_shed`] that also records the post-insert queue
-    /// depth as [`MetricId::QueueDepth`] for the arriving end-system.
-    pub fn push_shed_observed(
-        &mut self,
-        arrived_at: SimTime,
-        msg: J,
-        telemetry: Option<&mut TelemetryHub>,
-    ) -> Vec<J> {
-        let actor = msg.sender().0 as u64;
-        let victims = self.push_shed(arrived_at, msg);
-        if let Some(hub) = telemetry {
-            hub.record(MetricId::QueueDepth, actor, self.pending.len() as u64);
-        }
         victims
     }
 
@@ -275,25 +244,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
             self.served_per_client[job.msg.sender().0] += 1;
             self.wait_sum_us += now.since(job.arrived_at).as_micros() as u128;
             self.wait_count += 1;
-        }
-        (chosen, discarded)
-    }
-
-    /// [`ArrivalQueue::pop`] that also records the chosen batch's age at
-    /// apply time as [`MetricId::GradientStaleness`] — the queueing delay
-    /// between arrival and the server actually consuming the update.
-    pub fn pop_observed(
-        &mut self,
-        now: SimTime,
-        telemetry: Option<&mut TelemetryHub>,
-    ) -> (Option<QueuedJob<J>>, Vec<J>) {
-        let (chosen, discarded) = self.pop(now);
-        if let (Some(hub), Some(job)) = (telemetry, &chosen) {
-            hub.record(
-                MetricId::GradientStaleness,
-                job.msg.sender().0 as u64,
-                now.since(job.arrived_at).as_micros(),
-            );
         }
         (chosen, discarded)
     }
@@ -527,26 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_push_and_pop_feed_telemetry() {
-        let mut hub = TelemetryHub::new(8);
-        let mut q = ArrivalQueue::new(SchedulingPolicy::Fifo, 2);
-        q.push_observed(t(0), msg(0, 0), Some(&mut hub));
-        q.push_observed(t(1), msg(1, 0), Some(&mut hub));
-        let (job, _) = q.pop_observed(t(5), Some(&mut hub));
-        assert_eq!(job.unwrap().msg.from, EndSystemId(0));
-        let depth = hub.registry().histogram(MetricId::QueueDepth, 1).unwrap();
-        assert_eq!(depth.max(), Some(2));
-        let stale = hub
-            .registry()
-            .histogram(MetricId::GradientStaleness, 0)
-            .unwrap();
-        assert_eq!(stale.max(), Some(5_000));
-        // Passing no hub behaves exactly like the plain methods.
-        let (job, _) = q.pop_observed(t(6), None);
-        assert_eq!(job.unwrap().msg.from, EndSystemId(1));
-    }
-
-    #[test]
     fn bounded_queue_sheds_oldest_first_and_never_exceeds_capacity() {
         let mut q = ArrivalQueue::new(SchedulingPolicy::Fifo, 3).with_capacity(2);
         assert_eq!(q.capacity(), Some(2));
@@ -574,17 +504,6 @@ mod tests {
         assert_eq!(q.shed(), 0);
         assert_eq!(q.depth_samples().len(), 50);
         assert_eq!(q.depth_samples().last(), Some(&50));
-    }
-
-    #[test]
-    fn shed_observed_records_bounded_depth() {
-        let mut hub = TelemetryHub::new(8);
-        let mut q = ArrivalQueue::new(SchedulingPolicy::Fifo, 2).with_capacity(1);
-        q.push_shed_observed(t(0), msg(0, 0), Some(&mut hub));
-        let victims = q.push_shed_observed(t(1), msg(1, 0), Some(&mut hub));
-        assert_eq!(victims.len(), 1);
-        let depth = hub.registry().histogram(MetricId::QueueDepth, 1).unwrap();
-        assert_eq!(depth.max(), Some(1), "observed depth respects the bound");
     }
 
     #[test]

@@ -6,10 +6,8 @@ use crate::guard::{validate_update, Anomaly, GuardConfig};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use stsl_data::ImageDataset;
 use stsl_nn::loss::{Loss, SoftmaxCrossEntropy};
-use stsl_nn::metrics::RunningMean;
 use stsl_nn::optim::Optimizer;
 use stsl_nn::{Mode, Sequential};
-use stsl_telemetry::{MetricId, TelemetryHub};
 use stsl_tensor::Tensor;
 
 /// Result of the server processing one activation batch.
@@ -35,7 +33,6 @@ pub struct CentralServer {
     opt: Box<dyn Optimizer>,
     steps: u64,
     served_per_client: Vec<u64>,
-    train_loss: RunningMean,
     robust: Option<RobustAggregator>,
     last_robust: Option<RobustApply>,
 }
@@ -49,7 +46,6 @@ impl CentralServer {
             opt,
             steps: 0,
             served_per_client: vec![0; end_systems],
-            train_loss: RunningMean::new(),
             robust: None,
             last_robust: None,
         }
@@ -93,11 +89,6 @@ impl CentralServer {
         if let Some(agg) = self.robust.as_mut() {
             agg.set_window(window);
         }
-    }
-
-    /// The current aggregation window size, if robust aggregation is on.
-    pub fn robust_window(&self) -> Option<usize> {
-        self.robust.as_ref().map(|agg| agg.window())
     }
 
     /// Takes the outcome of the most recent robust window apply, if one
@@ -145,14 +136,11 @@ impl CentralServer {
         &self.served_per_client
     }
 
-    /// Running mean of training losses since construction.
-    pub fn mean_train_loss(&self) -> Option<f32> {
-        self.train_loss.mean()
-    }
-
-    /// Processes one activation batch: forward through the upper layers,
-    /// loss, backward, optimizer step, and the cut-layer gradient to send
-    /// back.
+    /// Processes one activation batch: with a `guard`, ingress
+    /// validation first (the activations must be finite and within the
+    /// guard's RMS bound before they touch the model or optimizer); then
+    /// forward through the upper layers, loss, backward, optimizer step,
+    /// and the cut-layer gradient to send back.
     ///
     /// With robust aggregation enabled
     /// ([`CentralServer::enable_robust_aggregation`]) the per-batch
@@ -160,11 +148,23 @@ impl CentralServer {
     /// when a full window is combined. The cut-layer gradient returned to
     /// the sender is unchanged either way.
     ///
+    /// # Errors
+    ///
+    /// Returns the guard's [`Anomaly`] without mutating any server state:
+    /// no optimizer step, no counters.
+    ///
     /// # Panics
     ///
     /// Panics if the message's client id is out of range or shapes are
     /// inconsistent with the model.
-    pub fn process(&mut self, msg: &ActivationMsg) -> ServerStepOutput {
+    pub fn process(
+        &mut self,
+        msg: &ActivationMsg,
+        guard: Option<&GuardConfig>,
+    ) -> Result<ServerStepOutput, Anomaly> {
+        if let Some(g) = guard {
+            validate_update(&msg.activations, g.max_activation_rms)?;
+        }
         assert!(
             msg.from.0 < self.served_per_client.len(),
             "unknown end-system {}",
@@ -187,14 +187,13 @@ impl CentralServer {
         }
         self.steps += 1;
         self.served_per_client[msg.from.0] += 1;
-        self.train_loss.push(out.value);
         let preds = logits.argmax_rows();
         let hits = preds
             .iter()
             .zip(&msg.targets)
             .filter(|(p, t)| p == t)
             .count();
-        ServerStepOutput {
+        Ok(ServerStepOutput {
             gradient: GradientMsg {
                 to: msg.from,
                 batch_id: msg.batch_id,
@@ -202,49 +201,7 @@ impl CentralServer {
             },
             loss: out.value,
             batch_accuracy: hits as f32 / msg.targets.len().max(1) as f32,
-        }
-    }
-
-    /// Like [`CentralServer::process`], but with ingress validation: the
-    /// incoming activations must be finite and within the guard's RMS
-    /// bound *before* they touch the model or optimizer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Anomaly`] without mutating any server state — no
-    /// optimizer step, no counters, no loss history.
-    pub fn process_guarded(
-        &mut self,
-        msg: &ActivationMsg,
-        guard: &GuardConfig,
-    ) -> Result<ServerStepOutput, Anomaly> {
-        validate_update(&msg.activations, guard.max_activation_rms)?;
-        Ok(self.process(msg))
-    }
-
-    /// Ingress path with optional guard and telemetry: validates when a
-    /// guard is given, then processes and records the batch's service
-    /// time as [`MetricId::ServiceTime`] for the originating end-system.
-    ///
-    /// # Errors
-    ///
-    /// As [`CentralServer::process_guarded`]: rejected updates mutate no
-    /// server state and record no service time.
-    pub fn process_observed(
-        &mut self,
-        msg: &ActivationMsg,
-        guard: Option<&GuardConfig>,
-        telemetry: Option<&mut TelemetryHub>,
-        service_us: u64,
-    ) -> Result<ServerStepOutput, Anomaly> {
-        if let Some(g) = guard {
-            validate_update(&msg.activations, g.max_activation_rms)?;
-        }
-        let out = self.process(msg);
-        if let Some(hub) = telemetry {
-            hub.record(MetricId::ServiceTime, msg.from.0 as u64, service_us);
-        }
-        Ok(out)
+        })
     }
 
     /// Current learning rate of the server optimizer.
@@ -326,20 +283,22 @@ mod tests {
     fn process_returns_matching_gradient() {
         let (mut server, arch) = make_server(1);
         let msg = activation_msg(&arch, 1, 4, 0);
-        let out = server.process(&msg);
+        let out = server.process(&msg, None).unwrap();
         assert_eq!(out.gradient.grad.dims(), msg.activations.dims());
         assert_eq!(out.gradient.to, msg.from);
         assert_eq!(out.gradient.batch_id, msg.batch_id);
         assert!(out.loss > 0.0);
-        assert!(server.mean_train_loss().is_some());
+        assert_eq!(server.steps(), 1);
     }
 
     #[test]
     fn process_counts_per_client() {
         let (mut server, arch) = make_server(1);
-        server.process(&activation_msg(&arch, 1, 2, 0));
-        server.process(&activation_msg(&arch, 1, 2, 1));
-        server.process(&activation_msg(&arch, 1, 2, 1));
+        for from in [0, 1, 1] {
+            server
+                .process(&activation_msg(&arch, 1, 2, from), None)
+                .unwrap();
+        }
         assert_eq!(server.served_per_client(), &[1, 2]);
         assert_eq!(server.steps(), 3);
     }
@@ -348,7 +307,7 @@ mod tests {
     #[should_panic(expected = "unknown end-system")]
     fn process_rejects_unknown_client() {
         let (mut server, arch) = make_server(1);
-        server.process(&activation_msg(&arch, 1, 2, 5));
+        let _ = server.process(&activation_msg(&arch, 1, 2, 5), None);
     }
 
     #[test]
@@ -362,10 +321,10 @@ mod tests {
             activations: images,
             targets,
         };
-        let first = server.process(&msg).loss;
+        let first = server.process(&msg, None).unwrap().loss;
         let mut last = first;
         for _ in 0..25 {
-            last = server.process(&msg).loss;
+            last = server.process(&msg, None).unwrap().loss;
         }
         assert!(last < first * 0.8, "loss {} -> {}", first, last);
     }
@@ -380,50 +339,27 @@ mod tests {
         // NaN poison: rejected, nothing moves.
         msg.activations.as_mut_slice()[3] = f32::NAN;
         assert!(matches!(
-            server.process_guarded(&msg, &guard),
+            server.process(&msg, Some(&guard)),
             Err(crate::guard::Anomaly::NonFinite)
         ));
         assert_eq!(server.steps(), 0);
-        assert_eq!(server.mean_train_loss(), None);
+        assert_eq!(server.served_per_client(), &[0, 0]);
         assert_eq!(server.model_mut().state_dict(), weights_before);
 
         // Norm explosion: rejected.
         let mut huge = activation_msg(&arch, 1, 4, 0);
         huge.activations.map_inplace(|_| 1e6);
         assert!(matches!(
-            server.process_guarded(&huge, &guard),
+            server.process(&huge, Some(&guard)),
             Err(crate::guard::Anomaly::NormExplosion { .. })
         ));
         assert_eq!(server.steps(), 0);
 
-        // A healthy batch flows through identically to process().
+        // A healthy batch flows through as it would unguarded.
         let clean = activation_msg(&arch, 1, 4, 0);
-        let out = server.process_guarded(&clean, &guard).unwrap();
+        let out = server.process(&clean, Some(&guard)).unwrap();
         assert_eq!(out.gradient.grad.dims(), clean.activations.dims());
         assert_eq!(server.steps(), 1);
-    }
-
-    #[test]
-    fn observed_process_records_service_time_only_on_success() {
-        let (mut server, arch) = make_server(1);
-        let guard = GuardConfig::default();
-        let mut hub = TelemetryHub::new(8);
-
-        let mut poison = activation_msg(&arch, 1, 4, 0);
-        poison.activations.as_mut_slice()[0] = f32::NAN;
-        assert!(server
-            .process_observed(&poison, Some(&guard), Some(&mut hub), 1_000)
-            .is_err());
-        assert!(hub.registry().histogram(MetricId::ServiceTime, 0).is_none());
-
-        let clean = activation_msg(&arch, 1, 4, 0);
-        let out = server
-            .process_observed(&clean, Some(&guard), Some(&mut hub), 1_000)
-            .unwrap();
-        assert_eq!(out.gradient.to, clean.from);
-        let h = hub.registry().histogram(MetricId::ServiceTime, 0).unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), Some(1_000));
     }
 
     #[test]

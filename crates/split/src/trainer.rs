@@ -9,7 +9,7 @@
 use crate::checkpoint::CheckpointRing;
 use crate::client::EndSystem;
 use crate::config::SplitConfig;
-use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog};
+use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog, LR_COOLDOWN};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::server::CentralServer;
@@ -177,29 +177,21 @@ impl SpatioTemporalTrainer {
                 self.comm.uplink_bytes += msg.encoded_len() as u64;
                 self.comm.uplink_messages += 1;
                 self.record(EventKind::ServiceStart, i);
-                let out = if let Some(g) = guard {
-                    match self.server.process_guarded(msg, &g) {
-                        Ok(out) => out,
-                        Err(_) => {
-                            self.record(EventKind::AnomalyRejected, i);
-                            abandoned[i] = true;
-                            grads.push(None);
-                            continue;
-                        }
-                    }
-                } else {
-                    self.server.process(msg)
+                let Ok(out) = self.server.process(msg, guard.as_ref()) else {
+                    self.record(EventKind::AnomalyRejected, i);
+                    abandoned[i] = true;
+                    grads.push(None);
+                    continue;
                 };
-                if let Some(g) = guard {
-                    if self
+                if guard.is_some()
+                    && self
                         .watchdog
                         .observe(out.loss, tensor_rms(&out.gradient.grad))
-                    {
-                        self.rollback(&g);
-                        abandoned[i] = true;
-                        grads.push(None);
-                        continue;
-                    }
+                {
+                    self.rollback();
+                    abandoned[i] = true;
+                    grads.push(None);
+                    continue;
                 }
                 self.comm.downlink_bytes += out.gradient.encoded_len() as u64;
                 self.comm.downlink_messages += 1;
@@ -247,13 +239,13 @@ impl SpatioTemporalTrainer {
     /// (or just cools the learning rate when the ring is empty) and
     /// resets the watchdog. Repeated divergences walk backward through
     /// progressively older ring entries.
-    fn rollback(&mut self, guard: &GuardConfig) {
+    fn rollback(&mut self) {
         self.record(EventKind::Rollback, self.clients.len());
         if let Some(ckpt) = self.ring.pop_latest() {
             self.restore(&ckpt)
                 .expect("ring checkpoints come from this deployment");
         }
-        self.server.scale_learning_rate(guard.lr_cooldown);
+        self.server.scale_learning_rate(LR_COOLDOWN);
         self.watchdog.reset();
     }
 
@@ -339,11 +331,8 @@ impl SpatioTemporalTrainer {
                 let ckpt = self.checkpoint();
                 self.ring.push(ckpt);
             }
-            let at = self.server.steps();
-            if let Some(hub) = self.log.hub_mut() {
-                hub.emit_snapshot(at);
-                self.record(EventKind::SnapshotEmit, self.clients.len());
-            }
+            let at = SimTime::from_micros(self.server.steps());
+            self.log.snapshot(at, EndSystemId(self.clients.len()));
         }
         let per_client_accuracy = self.evaluate_per_client(test);
         let final_accuracy = stsl_tensor::mean_f32(&per_client_accuracy);

@@ -17,6 +17,7 @@
 
 use crate::config::SplitConfig;
 use crate::model::CutPoint;
+use crate::protocol::tensor_frame_len;
 use crate::report::{CommReport, EpochStats, TrainReport};
 use crate::trainer::ConfigError;
 use stsl_data::{BatchPlan, ImageDataset};
@@ -131,12 +132,12 @@ impl UShapedTrainer {
                 // Leg 1: client lower forward, activations uplink.
                 client.lower.zero_grads();
                 let smashed = client.lower.forward(&images, Mode::Train);
-                self.comm.uplink_bytes += (smashed.len() * 4) as u64;
+                self.comm.uplink_bytes += tensor_frame_len(&smashed) as u64;
                 self.comm.uplink_messages += 1;
                 // Leg 2: server middle forward, features downlink.
                 self.server_middle.zero_grads();
                 let features = self.server_middle.forward(&smashed, Mode::Train);
-                self.comm.downlink_bytes += (features.len() * 4) as u64;
+                self.comm.downlink_bytes += tensor_frame_len(&features) as u64;
                 self.comm.downlink_messages += 1;
                 // Leg 3: client head + loss (labels stay here).
                 client.head.zero_grads();
@@ -144,11 +145,11 @@ impl UShapedTrainer {
                 let out = self.loss.forward(&logits, &targets);
                 let dfeatures = client.head.backward(&out.grad);
                 // Leg 4: feature gradient uplink, middle backward.
-                self.comm.uplink_bytes += (dfeatures.len() * 4) as u64;
+                self.comm.uplink_bytes += tensor_frame_len(&dfeatures) as u64;
                 self.comm.uplink_messages += 1;
                 let dsmashed = self.server_middle.backward(&dfeatures);
                 // Leg 5: cut gradient downlink, lower backward.
-                self.comm.downlink_bytes += (dsmashed.len() * 4) as u64;
+                self.comm.downlink_bytes += tensor_frame_len(&dsmashed) as u64;
                 self.comm.downlink_messages += 1;
                 client.lower.backward(&dsmashed);
                 // Updates.
@@ -274,6 +275,27 @@ mod tests {
         // 2 batches × 2 uplinks and 2 downlinks each.
         assert_eq!(t.comm().uplink_messages, 4);
         assert_eq!(t.comm().downlink_messages, 4);
+    }
+
+    #[test]
+    fn bytes_per_batch_are_four_tensor_frames() {
+        let cfg = SplitConfig::tiny(CutPoint(1), 1)
+            .epochs(1)
+            .batch_size(16)
+            .seed(2);
+        let mut t = UShapedTrainer::new(cfg, &data(16, 3)).unwrap();
+        t.run_epoch(0);
+        // Each leg is one tensor-only frame: 14-byte integrity header,
+        // 12-byte payload header, rank byte, u32 dims, f32 values. The
+        // smashed activations and their gradient are [16, 8, 8, 8]; the
+        // server's features and their gradient are [16, 32].
+        let smashed = 14 + 12 + 1 + 4 * 4 + 4 * 16 * 8 * 8 * 8;
+        let features = 14 + 12 + 1 + 4 * 2 + 4 * 16 * 32;
+        assert_eq!((smashed, features), (32_811, 2_083));
+        let comm = t.comm();
+        assert_eq!(comm.uplink_bytes, smashed + features);
+        assert_eq!(comm.downlink_bytes, features + smashed);
+        assert_eq!((comm.uplink_messages, comm.downlink_messages), (2, 2));
     }
 
     #[test]

@@ -22,16 +22,6 @@ impl Tensor {
     pub fn abs(&self) -> Tensor {
         self.map(f32::abs)
     }
-
-    /// Clamps every element into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clip(&self, lo: f32, hi: f32) -> Tensor {
-        assert!(lo <= hi, "invalid clip range [{}, {}]", lo, hi);
-        self.map(|x| x.clamp(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -52,17 +42,5 @@ mod tests {
         let t = Tensor::rand_uniform([20], 0.1, 5.0, &mut rng_from_seed(0));
         let back = t.exp().ln();
         assert!(back.allclose(&t, 1e-4));
-    }
-
-    #[test]
-    fn clip_bounds() {
-        let t = Tensor::from_vec(vec![-5.0, 0.5, 5.0], [3]);
-        assert_eq!(t.clip(-1.0, 1.0).as_slice(), &[-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid clip range")]
-    fn clip_rejects_inverted_range() {
-        Tensor::zeros([1]).clip(1.0, 0.0);
     }
 }

@@ -8,7 +8,7 @@ use spatio_temporal_split_learning::split::{
     AsyncReport, AsyncSplitTrainer, ComputeModel, CutPoint, GuardConfig, RetryPolicy,
     SchedulingPolicy, SpatioTemporalTrainer, SplitConfig,
 };
-use spatio_temporal_split_learning::telemetry::EventKind;
+use spatio_temporal_split_learning::telemetry::{EventKind, MetricId};
 
 fn data(n: usize, seed: u64) -> spatio_temporal_split_learning::data::ImageDataset {
     spatio_temporal_split_learning::data::SyntheticCifar::new(seed)
@@ -228,6 +228,11 @@ fn quarantine_journaling_is_counted_and_traced() {
         journal.count(EventKind::QuarantineRelease) as u64,
         r.quarantine_releases
     );
+    // Service time is recorded only for the batches ingress accepted.
+    let registry = roomy.telemetry().unwrap().registry();
+    assert!(registry.histogram(MetricId::ServiceTime, 0).is_none());
+    let service = registry.histogram(MetricId::ServiceTime, 1).unwrap();
+    assert_eq!(service.count(), r.served_per_client[1]);
 }
 
 #[test]
