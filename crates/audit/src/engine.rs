@@ -10,10 +10,9 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::parser::{parse_file, PanicKind, ParsedFile};
 use crate::rules::{
     in_r1_scope, in_r4_scope, in_r6_domain, in_r7_scope, in_r8_scope, in_r9_scope, is_r6_entry,
-    suppression_budget, EVENT_FILE, METRIC_FILE, R1_BANNED_IDENTS, RULE_BAD_SUPPRESSION,
-    RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_FORBID_UNSAFE,
-    RULE_IDS, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
-    RULE_UNUSED_SUPPRESSION,
+    suppression_budget, R1_BANNED_IDENTS, RULE_BAD_SUPPRESSION, RULE_DETERMINISM, RULE_ENV_READ,
+    RULE_FLOAT_REDUCTION, RULE_FORBID_UNSAFE, RULE_IDS, RULE_PANIC_REACH, RULE_RNG_STREAM,
+    RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,33 +110,10 @@ struct Directive {
     used: usize,
 }
 
-/// Cross-file state for the counter-accounting rule (R3).
-#[derive(Debug, Default)]
-struct CounterState {
-    /// `EventKind` variants with the line each is declared on; empty when
-    /// the enum's file was not among the inputs.
-    variants: Vec<(String, usize)>,
-    /// `EventKind::X` passed to a `record(…)` call in non-test code.
-    recorded: BTreeSet<String>,
-}
-
-/// Cross-file state for the metric-accounting rule (R5).
-#[derive(Debug, Default)]
-struct MetricState {
-    /// `MetricId` variants with the line each is declared on; empty when
-    /// the registry file was not among the inputs.
-    variants: Vec<(String, usize)>,
-    /// `MetricId::X` references seen in non-test code outside the
-    /// registry — proof somebody actually records the metric.
-    recorded: BTreeSet<String>,
-}
-
 /// Runs the full rule set over `files` and reconciles suppressions.
 pub fn audit(files: &[SourceFile]) -> AuditReport {
     let mut raw: Vec<Finding> = Vec::new();
     let mut directives: Vec<Directive> = Vec::new();
-    let mut counters = CounterState::default();
-    let mut metrics = MetricState::default();
     let mut parsed_domain: Vec<(String, ParsedFile)> = Vec::new();
 
     for file in files {
@@ -172,12 +148,8 @@ pub fn audit(files: &[SourceFile]) -> AuditReport {
         if in_r6_domain(&file.path) {
             parsed_domain.push((file.path.clone(), parse_file(&lexed.tokens, &excluded)));
         }
-        collect_counter_state(file, &lexed.tokens, &is_excluded, &mut counters);
-        collect_metric_state(file, &lexed.tokens, &is_excluded, &mut metrics);
     }
 
-    check_counters(&counters, &mut raw);
-    check_metrics(&metrics, &mut raw);
     scan_r6(&parsed_domain, &mut raw);
 
     // Reconcile findings with directives.
@@ -730,149 +702,6 @@ fn scan_r4(file: &SourceFile, tokens: &[Tok], findings: &mut Vec<Finding>) {
         RULE_FORBID_UNSAFE,
         "crate root must declare #![forbid(unsafe_code)]".to_string(),
     ));
-}
-
-/// Gathers the R3 inputs from one file. Only arguments of a `record(…)`
-/// call count: a bank read such as `count(EventKind::X)` proves nothing
-/// about emission.
-fn collect_counter_state(
-    file: &SourceFile,
-    tokens: &[Tok],
-    is_excluded: &dyn Fn(usize) -> bool,
-    state: &mut CounterState,
-) {
-    if file.path == EVENT_FILE {
-        if let Some((_, variants)) = parse_enum(tokens, "EventKind") {
-            state.variants = variants;
-        }
-        return;
-    }
-    let mut i = 0;
-    while i + 1 < tokens.len() {
-        if tokens[i].is_ident("record")
-            && tokens[i + 1].is_punct('(')
-            && !is_excluded(tokens[i].line)
-        {
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < tokens.len() {
-                match &tokens[j].kind {
-                    TokKind::Punct('(') => depth += 1,
-                    TokKind::Punct(')') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Ident(name) if name == "EventKind" => {
-                        if let (Some(a), Some(b), Some(v)) =
-                            (tokens.get(j + 1), tokens.get(j + 2), tokens.get(j + 3))
-                        {
-                            if a.is_punct(':') && b.is_punct(':') {
-                                if let Some(v) = v.ident() {
-                                    state.recorded.insert(v.to_string());
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-}
-
-/// Gathers the R5 inputs from one file.
-fn collect_metric_state(
-    file: &SourceFile,
-    tokens: &[Tok],
-    is_excluded: &dyn Fn(usize) -> bool,
-    state: &mut MetricState,
-) {
-    if file.path == METRIC_FILE {
-        if let Some((_, variants)) = parse_enum(tokens, "MetricId") {
-            state.variants = variants;
-        }
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if is_excluded(t.line) {
-            continue;
-        }
-        if t.is_ident("MetricId") {
-            if let (Some(a), Some(b), Some(c)) =
-                (tokens.get(i + 1), tokens.get(i + 2), tokens.get(i + 3))
-            {
-                if a.is_punct(':') && b.is_punct(':') {
-                    if let Some(v) = c.ident() {
-                        state.recorded.insert(v.to_string());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// R5: every `MetricId` variant is recorded somewhere in non-test code.
-fn check_metrics(state: &MetricState, findings: &mut Vec<Finding>) {
-    for (variant, line) in &state.variants {
-        if !state.recorded.contains(variant) {
-            findings.push(Finding::new(
-                METRIC_FILE,
-                *line,
-                RULE_METRIC,
-                format!("MetricId::{variant} is never recorded in non-test code"),
-            ));
-        }
-    }
-}
-
-/// R3: every `EventKind` variant is recorded somewhere in non-test code.
-fn check_counters(state: &CounterState, findings: &mut Vec<Finding>) {
-    for (variant, line) in &state.variants {
-        if !state.recorded.contains(variant) {
-            findings.push(Finding::new(
-                EVENT_FILE,
-                *line,
-                RULE_COUNTER,
-                format!("EventKind::{variant} is never recorded in non-test code"),
-            ));
-        }
-    }
-}
-
-/// Finds `enum <name> {…}` and returns its line plus `(variant, line)`s.
-fn parse_enum(tokens: &[Tok], name: &str) -> Option<(usize, Vec<(String, usize)>)> {
-    let start = find_item(tokens, "enum", name)?;
-    let open = (start..tokens.len()).find(|&i| tokens[i].is_punct('{'))?;
-    let mut variants = Vec::new();
-    let mut depth = 1usize;
-    let mut expecting = true;
-    let mut i = open + 1;
-    while i < tokens.len() && depth > 0 {
-        let t = &tokens[i];
-        match &t.kind {
-            TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct(',') if depth == 1 => expecting = true,
-            TokKind::Ident(v) if depth == 1 && expecting => {
-                variants.push((v.clone(), t.line));
-                expecting = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((tokens[start].line, variants))
-}
-
-/// Index of the `kw` token of `kw name` (e.g. `struct AsyncReport`).
-fn find_item(tokens: &[Tok], kw: &str, name: &str) -> Option<usize> {
-    (0..tokens.len().saturating_sub(1))
-        .find(|&i| tokens[i].is_ident(kw) && tokens[i + 1].is_ident(name))
 }
 
 /// Line spans covered by `#[cfg(test)]` / `#[test]` items — rule-exempt.

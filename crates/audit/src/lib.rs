@@ -14,13 +14,8 @@
 //!   `SystemTime`, `thread_rng` or raw `thread::spawn` in the
 //!   deterministic crates (`tensor`, `nn`, `split`, `simnet`,
 //!   `telemetry`).
-//! - **R3 `counter-accounting`** — every `EventKind` variant is passed to
-//!   a `record(…)` call in non-test code; the recorder's counter bank
-//!   gives each recorded kind its report counter.
 //! - **R4 `forbid-unsafe`** — every crate root declares
 //!   `#![forbid(unsafe_code)]`.
-//! - **R5 `metric-accounting`** — every telemetry `MetricId` variant is
-//!   recorded somewhere in non-test code.
 //! - **R6 `panic-reachability`** — no `unwrap`/`expect`/panicking
 //!   macro/unchecked indexing in any function transitively reachable
 //!   from the untrusted-input entry points; findings carry the full
@@ -33,6 +28,12 @@
 //!   (`rng_from_seed`/`derive_seed`), with no seed-expression reuse.
 //! - **R9 `env-read`** — `env::var` only at the sanctioned
 //!   config/backend-selection sites.
+//!
+//! R3 (every `EventKind` recorded) and R5 (every `MetricId` sampled) are
+//! retired. Liveness is now checked at runtime: `tests/async_golden.rs`
+//! asserts that the golden runs fire every non-fleet event kind and
+//! sample every non-fleet metric, and the fleet's unit test covers the
+//! fleet-only `CohortStep` and `CohortSize`.
 //!
 //! Suppressions are inline comments the tool counts and reports, with a
 //! per-rule budget enforced by the `suppression-budget` meta-rule:

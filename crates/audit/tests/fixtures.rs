@@ -3,9 +3,8 @@
 //! directive silences the finding and shows up in the suppression ledger.
 
 use stsl_audit::rules::{
-    EVENT_FILE, METRIC_FILE, RULE_COUNTER, RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION,
-    RULE_FORBID_UNSAFE, RULE_METRIC, RULE_PANIC_REACH, RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET,
-    RULE_UNUSED_SUPPRESSION,
+    RULE_DETERMINISM, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_FORBID_UNSAFE, RULE_PANIC_REACH,
+    RULE_RNG_STREAM, RULE_SUPPRESSION_BUDGET, RULE_UNUSED_SUPPRESSION,
 };
 use stsl_audit::{audit, AuditReport, SourceFile};
 
@@ -201,58 +200,6 @@ fn r9_fixture_is_clean_at_a_sanctioned_site() {
 fn r9_allow_silences_and_is_counted() {
     let report = audit(&[fixture("crates/split/src/fixture.rs", "r9_allowed.rs")]);
     assert_silenced(&report, RULE_ENV_READ);
-}
-
-#[test]
-fn r3_complete_contract_is_clean() {
-    let report = audit(&[
-        fixture(EVENT_FILE, "r3_trace.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs"),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-}
-
-#[test]
-fn r3_unemitted_variant_is_caught() {
-    // Drop the Rollback record from the emit fixture: the variant is
-    // declared and its count is still read, but it is never recorded.
-    let mut emit = fixture("crates/split/src/fixture_emit.rs", "r3_emit.rs");
-    emit.text = emit
-        .text
-        .lines()
-        .filter(|l| !l.contains("record(at, EventKind::Rollback"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let report = audit(&[fixture(EVENT_FILE, "r3_trace.rs"), emit]);
-    assert_fires_once(&report, RULE_COUNTER);
-    assert!(report.findings[0].message.contains("Rollback"));
-    assert!(report.findings[0].message.contains("never recorded"));
-    assert_eq!(report.findings[0].path, EVENT_FILE);
-}
-
-#[test]
-fn r5_complete_contract_is_clean() {
-    let report = audit(&[
-        fixture(METRIC_FILE, "r5_registry_good.rs"),
-        fixture("crates/split/src/fixture_emit.rs", "r5_emit.rs"),
-    ]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-}
-
-#[test]
-fn r5_unrecorded_metric_is_caught() {
-    // Drop the GradientStaleness recording from the emit fixture: the
-    // metric is declared and exported but nobody feeds it.
-    let mut emit = fixture("crates/split/src/fixture_emit.rs", "r5_emit.rs");
-    emit.text = emit
-        .text
-        .lines()
-        .filter(|l| !l.contains("MetricId::GradientStaleness"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let report = audit(&[fixture(METRIC_FILE, "r5_registry_good.rs"), emit]);
-    assert_fires_once(&report, RULE_METRIC);
-    assert!(report.findings[0].message.contains("never recorded"));
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! The audit run against the real tree, plus regression tripwires: the
-//! workspace must be clean, and undoing a hardening fix or dropping an
-//! event record must make the auditor fire again (the linter is only
-//! worth its keep if it catches the revert).
+//! workspace must be clean, and undoing a hardening fix must make the
+//! auditor fire again (the linter is only worth its keep if it catches
+//! the revert).
 
 use std::collections::BTreeMap;
 use stsl_audit::rules::{
-    suppression_budget, RULE_COUNTER, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_PANIC_REACH,
-    RULE_RNG_STREAM,
+    suppression_budget, RULE_ENV_READ, RULE_FLOAT_REDUCTION, RULE_PANIC_REACH, RULE_RNG_STREAM,
 };
 use stsl_audit::{audit, collect_workspace_sources, find_workspace_root, SourceFile};
 
@@ -49,34 +48,6 @@ fn workspace_is_clean_within_per_rule_suppression_budgets() {
         );
     }
     assert!(report.files_scanned > 50, "the walk found the whole tree");
-}
-
-#[test]
-fn unrecording_an_event_kind_is_caught() {
-    // Cohort steps are recorded in exactly one place, the fleet's step
-    // loop. Drop that record and R3 must fire even though the fleet
-    // report still reads the (now always-zero) count.
-    let mut files = workspace_sources();
-    let fleet = files
-        .iter_mut()
-        .find(|f| f.path == "crates/split/src/fleet.rs")
-        .expect("fleet.rs in workspace");
-    let patched = fleet.text.replace(
-        "self.log.record(now, EventKind::CohortStep, EndSystemId(c));",
-        "",
-    );
-    assert_ne!(patched, fleet.text, "the record should exist to delete");
-    fleet.text = patched;
-
-    let report = audit(&files);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == RULE_COUNTER && f.message.contains("CohortStep")),
-        "dropping the CohortStep record must fire counter-accounting:\n{:#?}",
-        report.findings
-    );
 }
 
 #[test]

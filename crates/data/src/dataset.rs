@@ -174,6 +174,24 @@ impl ImageDataset {
         (Tensor::from_vec(data, [indices.len(), c, h, w]), labels)
     }
 
+    /// The fraction of samples `predict` labels correctly. `predict` maps
+    /// a batch of images to one class per image; it sees the samples in
+    /// order, in batches of at most `batch_size`.
+    pub fn accuracy(
+        &self,
+        batch_size: usize,
+        mut predict: impl FnMut(&Tensor) -> Vec<usize>,
+    ) -> f32 {
+        let indices: Vec<usize> = (0..self.len()).collect();
+        let mut hits = 0usize;
+        for chunk in indices.chunks(batch_size.max(1)) {
+            let (images, targets) = self.batch(chunk);
+            let preds = predict(&images);
+            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
+        }
+        hits as f32 / self.len().max(1) as f32
+    }
+
     /// Extracts the sub-dataset at `indices` (cloning samples).
     pub fn subset(&self, indices: &[usize]) -> ImageDataset {
         let (images, labels) = self.batch(indices);
@@ -272,6 +290,23 @@ mod tests {
         assert_eq!(x.at(&[0, 0, 0, 0]), 4.0);
         assert_eq!(x.at(&[1, 0, 0, 0]), 0.0);
         assert_eq!(y, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn accuracy_scores_every_sample_once_in_order() {
+        // Pixel values are sample indices; label i % 2. Predicting
+        // "always 0" is right on the 3 even samples of 5, and a batch
+        // size of 2 leaves a partial last batch.
+        let d = toy(5);
+        let mut seen = Vec::new();
+        let acc = d.accuracy(2, |x| {
+            let n = x.dims()[0];
+            seen.extend((0..n).map(|i| x.at(&[i, 0, 0, 0]) as usize));
+            vec![0; n]
+        });
+        assert_eq!(acc, 0.6);
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        assert_eq!(toy(0).accuracy(4, |_| Vec::new()), 0.0);
     }
 
     #[test]

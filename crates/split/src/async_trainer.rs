@@ -216,7 +216,6 @@ pub struct AsyncSplitTrainer {
     server_busy_until: SimTime,
     stall_wake: Option<SimTime>,
     comm: CommReport,
-    client_epoch: Vec<u64>,
     /// When each end-system was last heard from (its admission or latest
     /// uplink), for the liveness sweep; unset while it is dormant,
     /// departed or done, when silence is expected.
@@ -299,7 +298,6 @@ impl AsyncSplitTrainer {
             server_busy_until: SimTime::ZERO,
             stall_wake: None,
             comm: CommReport::default(),
-            client_epoch: Vec::new(),
             last_seen: Vec::new(),
             crashed: Vec::new(),
             down_since: Vec::new(),
@@ -632,7 +630,6 @@ impl AsyncSplitTrainer {
         self.server_busy_until = SimTime::ZERO;
         self.stall_wake = None;
         self.comm = CommReport::default();
-        self.client_epoch = vec![0; n];
         self.log.reset_counts();
         self.crashed = vec![false; n];
         self.down_since = vec![None; n];
@@ -1017,14 +1014,10 @@ impl AsyncSplitTrainer {
             }
         }
         let sim_seconds = end.as_secs_f64();
-        let per: Vec<f32> = {
-            let batch = self.config.batch_size.max(32);
-            let server = &mut self.server;
-            self.clients
-                .iter_mut()
-                .map(|c| server.evaluate_with_encoder(test, batch, |x| c.encode(x)))
-                .collect()
-        };
+        let batch = self.config.batch_size.max(32);
+        let per = self
+            .server
+            .evaluate_encoders(test, batch, &mut self.clients);
         let final_accuracy = stsl_tensor::mean_f32(&per);
         // The defense headline: accuracy over the fleet the server still
         // serves. An exiled attacker's own encoder trained against
@@ -1111,7 +1104,8 @@ impl AsyncSplitTrainer {
     /// Whether end-system `i` has produced (and been acked for) every
     /// batch of every configured epoch.
     fn training_complete(&self, i: usize) -> bool {
-        self.clients[i].epoch_finished() && self.client_epoch[i] + 1 >= self.config.epochs as u64
+        let c = &self.clients[i];
+        c.epoch_finished() && c.epoch() + 1 >= self.config.epochs as u64
     }
 
     /// Detects quorum loss at `t`: no member remains, unfinished work is
@@ -1173,25 +1167,16 @@ impl AsyncSplitTrainer {
     /// integrity guard on, a non-finite server state is never banked —
     /// that would turn the rollback ring into a trap.
     fn take_checkpoint(&mut self, t: SimTime) {
-        let server_state = self.server.model_mut().state_dict();
+        let ckpt = Checkpoint::capture(&self.config, &mut self.server, &mut self.clients);
         if self.guard.is_some()
-            && server_state
+            && ckpt
+                .server_state
                 .iter()
                 .any(|p| p.as_slice().iter().any(|v| !v.is_finite()))
         {
             return;
         }
-        let config = self.config.clone();
-        let client_states = self
-            .clients
-            .iter_mut()
-            .map(|c| c.model_mut().state_dict())
-            .collect();
-        self.ring.push(Checkpoint {
-            config,
-            server_state,
-            client_states,
-        });
+        self.ring.push(ckpt);
         let server_id = self.server_trace_id();
         self.log.record(t, EventKind::CheckpointSave, server_id);
     }
@@ -1205,10 +1190,8 @@ impl AsyncSplitTrainer {
         let server_id = self.server_trace_id();
         self.log.record(t, EventKind::Rollback, server_id);
         if let Some(ckpt) = self.ring.pop_latest() {
-            self.server.model_mut().load_state_dict(&ckpt.server_state);
-            for (client, state) in self.clients.iter_mut().zip(&ckpt.client_states) {
-                client.model_mut().load_state_dict(state);
-            }
+            ckpt.restore_into(&mut self.server, &mut self.clients)
+                .expect("ring checkpoints come from this deployment");
         }
         self.server.scale_learning_rate(LR_COOLDOWN);
         // A half-filled aggregation window straddling the rollback point
@@ -1230,12 +1213,11 @@ impl AsyncSplitTrainer {
         }
         let client = &mut self.clients[id.0];
         if client.epoch_finished() {
-            let next_epoch = self.client_epoch[id.0] + 1;
+            let next_epoch = client.epoch() + 1;
             if next_epoch >= self.config.epochs as u64 {
                 self.last_seen[id.0] = None;
                 return; // this client is done for good
             }
-            self.client_epoch[id.0] = next_epoch;
             client.begin_epoch(next_epoch);
         }
         let Some(mut msg) = client.next_batch() else {

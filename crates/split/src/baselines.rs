@@ -87,17 +87,7 @@ impl CentralizedTrainer {
     /// Test accuracy of the current model.
     pub fn evaluate(&mut self, test: &ImageDataset) -> f32 {
         let batch = self.config.batch_size.max(32);
-        let mut hits = 0usize;
-        let mut start = 0;
-        while start < test.len() {
-            let end = (start + batch).min(test.len());
-            let indices: Vec<usize> = (start..end).collect();
-            let (images, targets) = test.batch(&indices);
-            let preds = self.model.predict(&images);
-            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
-            start = end;
-        }
-        hits as f32 / test.len().max(1) as f32
+        test.accuracy(batch, |images| self.model.predict(images))
     }
 
     /// The underlying model (for the privacy experiments).
@@ -253,17 +243,7 @@ impl FedAvgTrainer {
     /// Test accuracy of the current global model.
     pub fn evaluate(&mut self, test: &ImageDataset) -> f32 {
         let batch = self.config.batch_size.max(32);
-        let mut hits = 0usize;
-        let mut start = 0;
-        while start < test.len() {
-            let end = (start + batch).min(test.len());
-            let indices: Vec<usize> = (start..end).collect();
-            let (images, targets) = test.batch(&indices);
-            let preds = self.global.predict(&images);
-            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
-            start = end;
-        }
-        hits as f32 / test.len().max(1) as f32
+        test.accuracy(batch, |images| self.global.predict(images))
     }
 }
 

@@ -5,8 +5,10 @@
 //! serialized form is JSON (human-inspectable, version-diffable); restore
 //! validates shape compatibility parameter-by-parameter.
 
+use crate::client::EndSystem;
 use crate::config::SplitConfig;
-use crate::trainer::{ConfigError, SpatioTemporalTrainer};
+use crate::server::CentralServer;
+use crate::trainer::ConfigError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -18,7 +20,9 @@ fn annotate(path: &Path, e: std::io::Error) -> std::io::Error {
     std::io::Error::new(e.kind(), format!("{}: {}", path.display(), e))
 }
 
-/// A serializable snapshot of a [`SpatioTemporalTrainer`].
+/// A serializable snapshot of a deployment: what
+/// [`SpatioTemporalTrainer::checkpoint`](crate::SpatioTemporalTrainer::checkpoint)
+/// and the asynchronous trainer's checkpoint ring hold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// The configuration the deployment was built with.
@@ -30,6 +34,51 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// Snapshots a deployment: the config it was built with, the
+    /// server's uppers and every end-system's private lowers.
+    pub(crate) fn capture(
+        config: &SplitConfig,
+        server: &mut CentralServer,
+        clients: &mut [EndSystem],
+    ) -> Checkpoint {
+        Checkpoint {
+            config: config.clone(),
+            server_state: server.model_mut().state_dict(),
+            client_states: clients
+                .iter_mut()
+                .map(|c| c.model_mut().state_dict())
+                .collect(),
+        }
+    }
+
+    /// Loads these parameters into a deployment built like the one
+    /// captured.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`], before touching any state, if the
+    /// end-system count differs; panics on per-tensor shape mismatches (a
+    /// checkpoint from a different architecture is a programming error,
+    /// not a runtime condition).
+    pub(crate) fn restore_into(
+        &self,
+        server: &mut CentralServer,
+        clients: &mut [EndSystem],
+    ) -> Result<(), ConfigError> {
+        if self.client_states.len() != clients.len() {
+            return Err(ConfigError(format!(
+                "checkpoint has {} end-systems but the trainer has {}",
+                self.client_states.len(),
+                clients.len()
+            )));
+        }
+        server.model_mut().load_state_dict(&self.server_state);
+        for (client, state) in clients.iter_mut().zip(&self.client_states) {
+            client.model_mut().load_state_dict(state);
+        }
+        Ok(())
+    }
+
     /// Writes the checkpoint as JSON, atomically: the bytes go to a
     /// sibling `.tmp` file first and are renamed into place, so a crash
     /// mid-write can never leave a truncated checkpoint at `path`.
@@ -209,53 +258,11 @@ impl CheckpointRing {
     }
 }
 
-impl SpatioTemporalTrainer {
-    /// Snapshots the full deployment state.
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        let config = self.config().clone();
-        let server_state = self.server_mut().model_mut().state_dict();
-        let client_states = self
-            .clients_mut()
-            .iter_mut()
-            .map(|c| c.model_mut().state_dict())
-            .collect();
-        Checkpoint {
-            config,
-            server_state,
-            client_states,
-        }
-    }
-
-    /// Restores parameters from a checkpoint taken on an
-    /// identically-configured deployment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the end-system count differs; panics on
-    /// per-tensor shape mismatches (a checkpoint from a different
-    /// architecture is a programming error, not a runtime condition).
-    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ConfigError> {
-        if checkpoint.client_states.len() != self.clients_mut().len() {
-            return Err(ConfigError(format!(
-                "checkpoint has {} end-systems but the trainer has {}",
-                checkpoint.client_states.len(),
-                self.clients_mut().len()
-            )));
-        }
-        self.server_mut()
-            .model_mut()
-            .load_state_dict(&checkpoint.server_state);
-        for (client, state) in self.clients_mut().iter_mut().zip(&checkpoint.client_states) {
-            client.model_mut().load_state_dict(state);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CutPoint;
+    use crate::SpatioTemporalTrainer;
     use stsl_data::SyntheticCifar;
 
     fn data(n: usize, seed: u64) -> stsl_data::ImageDataset {

@@ -170,6 +170,12 @@ impl EndSystem {
         self.grads_applied
     }
 
+    /// The epoch most recently started by [`EndSystem::begin_epoch`]
+    /// (0 before the first call).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Starts epoch `epoch`, reshuffling the local shard.
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;

@@ -247,8 +247,6 @@ pub struct FleetTrainer {
     members: Vec<FleetMember>,
     /// One shared model replica per cohort.
     replicas: Vec<EndSystem>,
-    /// Current epoch per cohort (replicas reshuffle per epoch).
-    epoch: Vec<u64>,
     /// Admitted arrivals accumulated towards the next real step.
     step_credit: Vec<u64>,
     /// Live end-systems per cohort (for `CohortSize` sampling).
@@ -259,10 +257,6 @@ pub struct FleetTrainer {
     /// Cohort steps, departures and snapshots, with the (always
     /// attached) per-cohort telemetry hub.
     log: EventLog,
-    /// Pending non-snapshot events — the tick-liveness counter that
-    /// stops the periodic snapshot from keeping a drained simulation
-    /// alive forever.
-    pending_work: u64,
     server_busy: bool,
     events_processed: u64,
     sends_attempted: u64,
@@ -312,21 +306,18 @@ impl FleetTrainer {
             .collect();
         let queue = ArrivalQueue::new(SchedulingPolicy::Fifo, config.cohorts)
             .with_capacity(config.queue_capacity);
-        let epoch = vec![0; config.cohorts];
         let step_credit = vec![0; config.cohorts];
         let mut log = EventLog::new();
         log.attach_hub(TelemetryHub::new(256));
         Ok(FleetTrainer {
             members,
             replicas,
-            epoch,
             step_credit,
             live,
             server,
             queue,
             events: EventQueue::new(),
             log,
-            pending_work: 0,
             server_busy: false,
             events_processed: 0,
             sends_attempted: 0,
@@ -348,12 +339,6 @@ impl FleetTrainer {
         let base = LATENCY_CLASSES_US[self.members[i as usize].latency_class as usize];
         let jitter = self.jitter(3_000_000 + i as u64 * 1_009 + n as u64, base / 4 + 1);
         SimDuration::from_micros(base + jitter)
-    }
-
-    /// Schedules a non-snapshot event, maintaining the liveness counter.
-    fn schedule_work(&mut self, at: SimTime, ev: FleetEvent) {
-        self.pending_work += 1;
-        self.events.schedule(at, ev);
     }
 
     /// Bytes of model parameters across all cohort replicas plus the
@@ -383,14 +368,16 @@ impl FleetTrainer {
         // departures, the first snapshot tick.
         for i in 0..self.config.clients as u32 {
             let offset = self.jitter(4_000_000 + i as u64, self.config.think_us);
-            self.schedule_work(SimTime::from_micros(offset), FleetEvent::Send(i));
+            self.events
+                .schedule(SimTime::from_micros(offset), FleetEvent::Send(i));
         }
         if self.config.leave_permille > 0 {
             let horizon = self.config.think_us * self.config.sends_per_client.max(1) as u64;
             for i in 0..self.config.clients as u32 {
                 if self.jitter(5_000_000 + i as u64, 1000) < self.config.leave_permille as u64 {
                     let at = self.jitter(6_000_000 + i as u64, horizon);
-                    self.schedule_work(SimTime::from_micros(at), FleetEvent::Depart(i));
+                    self.events
+                        .schedule(SimTime::from_micros(at), FleetEvent::Depart(i));
                 }
             }
         }
@@ -402,22 +389,10 @@ impl FleetTrainer {
         while let Some((now, ev)) = self.events.pop() {
             self.events_processed += 1;
             match ev {
-                FleetEvent::Send(i) => {
-                    self.pending_work -= 1;
-                    self.on_send(now, i);
-                }
-                FleetEvent::Arrival(i) => {
-                    self.pending_work -= 1;
-                    self.on_arrival(now, i);
-                }
-                FleetEvent::ServerWake => {
-                    self.pending_work -= 1;
-                    self.on_server_wake(now);
-                }
-                FleetEvent::Depart(i) => {
-                    self.pending_work -= 1;
-                    self.on_depart(now, i);
-                }
+                FleetEvent::Send(i) => self.on_send(now, i),
+                FleetEvent::Arrival(i) => self.on_arrival(now, i),
+                FleetEvent::ServerWake => self.on_server_wake(now),
+                FleetEvent::Depart(i) => self.on_depart(now, i),
                 FleetEvent::Snapshot => self.on_snapshot(now),
             }
         }
@@ -434,14 +409,15 @@ impl FleetTrainer {
         self.sends_attempted += 1;
         let n = m.sends_done;
         let arrive_at = now + self.uplink_latency(i, n);
-        self.schedule_work(arrive_at, FleetEvent::Arrival(i));
+        self.events.schedule(arrive_at, FleetEvent::Arrival(i));
         if n < self.config.sends_per_client {
             let think = self.config.think_us
                 + self.jitter(
                     7_000_000 + i as u64 * 1_013 + n as u64,
                     self.config.think_us / 2 + 1,
                 );
-            self.schedule_work(now + SimDuration::from_micros(think), FleetEvent::Send(i));
+            self.events
+                .schedule(now + SimDuration::from_micros(think), FleetEvent::Send(i));
         }
     }
 
@@ -466,7 +442,7 @@ impl FleetTrainer {
         if !self.server_busy {
             self.server_busy = true;
             let at = now + SimDuration::from_micros(self.config.serve_interval_us);
-            self.schedule_work(at, FleetEvent::ServerWake);
+            self.events.schedule(at, FleetEvent::ServerWake);
         }
     }
 
@@ -491,7 +467,7 @@ impl FleetTrainer {
             self.server_busy = false;
         } else {
             let at = now + SimDuration::from_micros(self.config.serve_interval_us);
-            self.schedule_work(at, FleetEvent::ServerWake);
+            self.events.schedule(at, FleetEvent::ServerWake);
         }
     }
 
@@ -503,9 +479,9 @@ impl FleetTrainer {
         let msg: ActivationMsg = match self.replicas[c].next_batch() {
             Some(m) => m,
             None => {
-                self.epoch[c] += 1;
-                self.replicas[c].begin_epoch(self.epoch[c]);
-                match self.replicas[c].next_batch() {
+                let replica = &mut self.replicas[c];
+                replica.begin_epoch(replica.epoch() + 1);
+                match replica.next_batch() {
                     Some(m) => m,
                     None => return, // empty shard: nothing to train
                 }
@@ -543,8 +519,9 @@ impl FleetTrainer {
         // Server-scoped events use the id one past the last end-system.
         self.log.snapshot(now, EndSystemId(self.config.clients));
         // Tick liveness: only reschedule while real work is pending,
-        // so a drained simulation actually terminates.
-        if self.pending_work > 0 {
+        // so a drained simulation actually terminates. This tick was the
+        // only snapshot queued, so whatever is left is real work.
+        if !self.events.is_empty() {
             self.events.schedule(
                 now + SimDuration::from_micros(self.config.snapshot_every_us),
                 FleetEvent::Snapshot,
@@ -553,15 +530,9 @@ impl FleetTrainer {
     }
 
     fn finish(&mut self, test: &ImageDataset) -> FleetReport {
-        let per_cohort_accuracy: Vec<f32> = (0..self.config.cohorts)
-            .map(|c| {
-                let replica = &mut self.replicas[c];
-                self.server
-                    .evaluate_with_encoder(test, self.config.batch_size, |imgs| {
-                        replica.encode(imgs)
-                    })
-            })
-            .collect();
+        let per_cohort_accuracy =
+            self.server
+                .evaluate_encoders(test, self.config.batch_size, &mut self.replicas);
         let final_accuracy = stsl_tensor::mean_f32(&per_cohort_accuracy);
         let sim_seconds = self.events.now().as_micros() as f64 / 1e6;
         let events_per_sim_sec = if sim_seconds > 0.0 {
@@ -629,9 +600,14 @@ mod tests {
         assert!(report.snapshots_emitted > 0);
         assert_eq!(report.per_cohort_accuracy.len(), 4);
         // Cohort steps are counted but kept out of the journal.
-        let journal = fleet.telemetry().expect("fleet hub").journal_log();
-        assert_eq!(journal.count(EventKind::CohortStep), 0);
-        assert!(journal.count(EventKind::SnapshotEmit) > 0);
+        let hub = fleet.telemetry().expect("fleet hub");
+        assert_eq!(hub.journal_log().count(EventKind::CohortStep), 0);
+        assert!(hub.journal_log().count(EventKind::SnapshotEmit) > 0);
+        // Every snapshot samples every cohort's size.
+        for c in 0..report.cohorts as u64 {
+            let sizes = hub.registry().histogram(MetricId::CohortSize, c);
+            assert!(sizes.is_some_and(|h| h.count() > 0), "cohort {c} size");
+        }
     }
 
     #[test]

@@ -226,7 +226,6 @@ pub struct HealthWatchdog {
     warmup: u64,
     ema: f64,
     observed: u64,
-    divergences: u64,
 }
 
 /// EMA smoothing factor for the loss average.
@@ -240,7 +239,6 @@ impl HealthWatchdog {
             warmup: cfg.warmup_steps,
             ema: 0.0,
             observed: 0,
-            divergences: 0,
         }
     }
 
@@ -251,7 +249,6 @@ impl HealthWatchdog {
         let blown_up = self.observed >= self.warmup
             && loss as f64 > self.loss_blowup as f64 * self.ema.max(1e-6);
         if !loss.is_finite() || !grad_rms.is_finite() || grad_rms > MAX_GRADIENT_RMS || blown_up {
-            self.divergences += 1;
             return true;
         }
         if self.observed == 0 {
@@ -272,11 +269,6 @@ impl HealthWatchdog {
     /// Smoothed loss average, if any observations are in.
     pub fn loss_ema(&self) -> Option<f32> {
         (self.observed > 0).then_some(self.ema as f32)
-    }
-
-    /// Total divergences detected.
-    pub fn divergences(&self) -> u64 {
-        self.divergences
     }
 }
 
@@ -405,7 +397,6 @@ mod tests {
         assert!(w.observe(1.0, f32::INFINITY));
         // A 4x loss blow-up trips after warmup.
         assert!(w.observe(4.5, 0.5));
-        assert_eq!(w.divergences(), 4);
         // Diverged batches did not move the EMA.
         assert!((w.loss_ema().unwrap() - 1.0).abs() < 1e-6);
         // Healthy observation still passes.

@@ -1,10 +1,10 @@
 //! Structured results emitted by trainers (serialized by the experiment
 //! harness into `results/*.json`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Communication totals over a whole training run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CommReport {
     /// Activation bytes, end-systems → server.
     pub uplink_bytes: u64,
@@ -24,7 +24,7 @@ impl CommReport {
 }
 
 /// Metrics for one training epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EpochStats {
     /// 0-based epoch number.
     pub epoch: usize,
@@ -36,15 +36,13 @@ pub struct EpochStats {
     pub test_accuracy: f32,
     /// Updates the ingress guard rejected this epoch (non-finite or
     /// norm-exploding activations).
-    #[serde(default)]
     pub anomalies_rejected: u64,
     /// Watchdog rollbacks triggered this epoch.
-    #[serde(default)]
     pub rollbacks: u64,
 }
 
 /// Result of a synchronous spatio-temporal training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrainReport {
     /// Label of the run (e.g. the Table I row).
     pub label: String,
@@ -63,10 +61,8 @@ pub struct TrainReport {
     /// Wall-clock seconds the run took (host time, informational).
     pub wall_seconds: f64,
     /// Total updates the ingress guard rejected across the run.
-    #[serde(default)]
     pub anomalies_rejected: u64,
     /// Total watchdog rollbacks across the run.
-    #[serde(default)]
     pub rollbacks: u64,
 }
 
@@ -81,7 +77,7 @@ impl TrainReport {
 }
 
 /// Result of an asynchronous (network-simulated) training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AsyncReport {
     /// Scheduling policy label.
     pub policy: String,
@@ -108,99 +104,70 @@ pub struct AsyncReport {
     /// Messages lost by the network.
     pub network_drops: u64,
     /// Lost messages that were retransmitted after a backoff.
-    #[serde(default)]
     pub retransmits: u64,
     /// Messages whose retry budget ran out.
-    #[serde(default)]
     pub retry_exhausted: u64,
     /// Batches lost for good (retry exhaustion, scheduler discards and
     /// crashes), totalled over all end-systems.
-    #[serde(default)]
     pub batches_lost: u64,
     /// Batches lost for good, per end-system.
-    #[serde(default)]
     pub batches_lost_per_client: Vec<u64>,
     /// Simulated milliseconds each end-system spent crashed.
-    #[serde(default)]
     pub downtime_ms_per_client: Vec<f64>,
     /// End-system crash events.
-    #[serde(default)]
     pub crash_events: u64,
     /// End-system recovery events.
-    #[serde(default)]
     pub recovery_events: u64,
     /// Auto-checkpoints taken during the run.
-    #[serde(default)]
     pub checkpoint_saves: u64,
     /// End-systems restored from a checkpoint after a crash.
-    #[serde(default)]
     pub checkpoint_restores: u64,
     /// Times the server's liveness tracker declared an end-system dead.
-    #[serde(default)]
     pub dead_clients_detected: u64,
     /// Messages whose payloads were garbled in flight by a corruption
     /// fault.
-    #[serde(default)]
     pub corrupted_payloads: u64,
     /// Corrupted messages that were detected and discarded (all of them
     /// with the integrity guard on; only the structurally unusable subset
     /// with the guard off — the difference is silent poison).
-    #[serde(default)]
     pub corrupted_rejected: u64,
     /// Updates the ingress guard rejected (non-finite or norm-exploding).
-    #[serde(default)]
     pub anomalies_rejected: u64,
     /// Times an end-system was quarantined for repeated anomalies.
-    #[serde(default)]
     pub quarantines: u64,
     /// Updates dropped because their sender was quarantined.
-    #[serde(default)]
     pub quarantine_drops: u64,
     /// Probationary rejoins after quarantine.
-    #[serde(default)]
     pub quarantine_releases: u64,
     /// Watchdog rollbacks to an earlier checkpoint.
-    #[serde(default)]
     pub rollbacks: u64,
     /// Telemetry snapshots emitted during the run.
-    #[serde(default)]
     pub snapshots_emitted: u64,
     /// Telemetry journal events evicted because the ring was full.
-    #[serde(default)]
     pub journal_dropped: u64,
     /// End-systems admitted mid-training (scheduled joins).
-    #[serde(default)]
     pub clients_joined: u64,
     /// End-systems that departed the fleet (scheduled leaves).
-    #[serde(default)]
     pub clients_departed: u64,
     /// Departed end-systems re-admitted after resyncing from their last
     /// acked batch.
-    #[serde(default)]
     pub rejoins: u64,
     /// Batches shed by the bounded ingress queue under overload.
-    #[serde(default)]
     pub batches_shed: u64,
     /// Per-link circuit-breaker trips.
-    #[serde(default)]
     pub breaker_trips: u64,
     /// Round deadlines that applied a partial quorum and abandoned the
     /// stragglers' outstanding batches.
-    #[serde(default)]
     pub deadline_partial_applies: u64,
     /// Updates poisoned at the sender by an adversarial persona.
-    #[serde(default)]
     pub attacks_injected: u64,
     /// Robust-aggregation windows combined and applied.
-    #[serde(default)]
     pub robust_applies: u64,
     /// Window members flagged as statistical outliers by the robust
     /// aggregator.
-    #[serde(default)]
     pub robust_outliers: u64,
     /// Update-slots excluded from robust combines (trimmed, clipped or
     /// unselected), totalled over all applied windows.
-    #[serde(default)]
     pub updates_trimmed: u64,
     /// Final test accuracy averaged over the encoders of end-systems
     /// *not* in quarantine when the run ended — the fleet the server
@@ -210,7 +177,6 @@ pub struct AsyncReport {
     /// server-side policy can train it honestly, so averaging it into
     /// [`Self::final_accuracy`] measures the attacker's self-harm, not
     /// the defense.
-    #[serde(default)]
     pub active_accuracy: f32,
     /// Communication totals.
     pub comm: CommReport,
@@ -222,7 +188,7 @@ pub struct AsyncReport {
 /// state, so the serialized report is byte-identical across
 /// `STSL_THREADS` values; wall-clock throughput is printed by the bench
 /// but never serialized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FleetReport {
     /// Simulated end-systems.
     pub clients: usize,
@@ -365,50 +331,5 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("fifo"));
         assert!(json.contains("retransmits"));
-        let back: AsyncReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.served_per_client, vec![3, 4]);
-        assert_eq!(back.retransmits, 1);
-        assert_eq!(back.downtime_ms_per_client, vec![0.0, 12.5]);
-        assert_eq!(back.clients_joined, 1);
-        assert_eq!(back.batches_shed, 2);
-        assert_eq!(back.attacks_injected, 3);
-        assert_eq!(back.robust_applies, 2);
-        assert_eq!(back.robust_outliers, 1);
-        assert_eq!(back.updates_trimmed, 4);
-    }
-
-    #[test]
-    fn async_report_robustness_fields_default_when_absent() {
-        // Results files written before the fault-tolerance fields existed
-        // still load: the robustness metrics default to zero/empty.
-        let json = r#"{
-            "policy": "fifo", "end_systems": 1, "cut_blocks": 1,
-            "sim_seconds": 1.0, "final_accuracy": 0.5,
-            "served_per_client": [2], "service_imbalance": 0.0,
-            "mean_queue_depth": 0.0, "max_queue_depth": 1,
-            "mean_queue_wait_ms": 0.0, "scheduler_drops": 0,
-            "network_drops": 0,
-            "comm": {"uplink_bytes": 0, "downlink_bytes": 0,
-                     "uplink_messages": 0, "downlink_messages": 0}
-        }"#;
-        let r: AsyncReport = serde_json::from_str(json).unwrap();
-        assert_eq!(r.retransmits, 0);
-        assert_eq!(r.batches_lost_per_client, Vec::<u64>::new());
-        assert_eq!(r.crash_events, 0);
-        assert_eq!(r.corrupted_payloads, 0);
-        assert_eq!(r.quarantines, 0);
-        assert_eq!(r.rollbacks, 0);
-        assert_eq!(r.snapshots_emitted, 0);
-        assert_eq!(r.journal_dropped, 0);
-        assert_eq!(r.clients_joined, 0);
-        assert_eq!(r.clients_departed, 0);
-        assert_eq!(r.rejoins, 0);
-        assert_eq!(r.batches_shed, 0);
-        assert_eq!(r.breaker_trips, 0);
-        assert_eq!(r.deadline_partial_applies, 0);
-        assert_eq!(r.attacks_injected, 0);
-        assert_eq!(r.robust_applies, 0);
-        assert_eq!(r.robust_outliers, 0);
-        assert_eq!(r.updates_trimmed, 0);
     }
 }

@@ -4,6 +4,21 @@
 use crate::config::OverloadConfig;
 use stsl_simnet::{EndSystemId, SimDuration, SimTime};
 
+/// `base · 2^doublings`, capped at `ceiling` and at least 1 µs — the
+/// growth law of both the retry backoff and the breaker's open window.
+/// The doubling saturates rather than wrapping: a shift past the u64
+/// width clamps to `u64::MAX` and the multiply saturates too, so the
+/// ceiling applies as usual.
+fn capped_doubling(base: SimDuration, doublings: u32, ceiling: SimDuration) -> SimDuration {
+    let factor = 1u64.checked_shl(doublings).unwrap_or(u64::MAX);
+    let us = base
+        .as_micros()
+        .saturating_mul(factor)
+        .min(ceiling.as_micros())
+        .max(1);
+    SimDuration::from_micros(us)
+}
+
 /// Retransmission policy for lost protocol messages: exponential backoff
 /// with jitter and a bounded retry budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,18 +65,12 @@ impl RetryPolicy {
     /// capped at [`RetryPolicy::max_backoff`], plus sampled jitter.
     pub fn backoff(&self, attempt: u32, rng: &mut rand::rngs::StdRng) -> SimDuration {
         use rand::Rng;
-        // The doubling factor saturates rather than wrapping: at 64+
-        // failures `1 << exp` would be UB/wraparound, so shifts past the
-        // u64 width clamp to u64::MAX and the multiply saturates too —
-        // the ceiling below then applies as usual.
-        let exp = attempt.saturating_sub(1);
-        let factor = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
-        let base = self
-            .base_backoff
-            .as_micros()
-            .saturating_mul(factor)
-            .min(self.max_backoff.as_micros())
-            .max(1);
+        let base = capped_doubling(
+            self.base_backoff,
+            attempt.saturating_sub(1),
+            self.max_backoff,
+        )
+        .as_micros();
         let jitter = if self.jitter_frac > 0.0 {
             let amp = (base as f64 * self.jitter_frac).ceil() as u64;
             if amp > 0 {
@@ -128,17 +137,6 @@ impl CircuitBreaker {
         }
     }
 
-    fn open_window(&self, streak: u32) -> SimDuration {
-        let factor = 1u64.checked_shl(streak).unwrap_or(u64::MAX);
-        let us = self
-            .base_open
-            .as_micros()
-            .saturating_mul(factor)
-            .min(self.max_open.as_micros())
-            .max(1);
-        SimDuration::from_micros(us)
-    }
-
     /// Asks whether a send on `id`'s link may go out at `at`. An open
     /// breaker whose window has elapsed half-opens and admits the send as
     /// its probe.
@@ -171,7 +169,7 @@ impl CircuitBreaker {
                 let failures = failures.saturating_add(1);
                 if failures >= self.threshold.max(1) {
                     self.links[id.0] = LinkState::Open {
-                        until: at + self.open_window(0),
+                        until: at + capped_doubling(self.base_open, 0, self.max_open),
                         streak: 0,
                     };
                     true
@@ -183,7 +181,7 @@ impl CircuitBreaker {
             LinkState::HalfOpen { streak } => {
                 let streak = streak.saturating_add(1);
                 self.links[id.0] = LinkState::Open {
-                    until: at + self.open_window(streak),
+                    until: at + capped_doubling(self.base_open, streak, self.max_open),
                     streak,
                 };
                 true

@@ -82,7 +82,6 @@ pub struct ArrivalQueue<J: ArrivalJob = ActivationMsg> {
     policy: SchedulingPolicy,
     pending: VecDeque<QueuedJob<J>>,
     served_per_client: Vec<u64>,
-    dropped: u64,
     /// Bounded-ingress capacity; `None` means unbounded (the legacy
     /// behavior).
     capacity: Option<usize>,
@@ -110,7 +109,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
             policy,
             pending: VecDeque::new(),
             served_per_client: vec![0; end_systems],
-            dropped: 0,
             capacity: None,
             shed: 0,
             depth_samples: Vec::new(),
@@ -154,11 +152,6 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Batches discarded by the staleness policy so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Records one post-insert depth observation: exact running
@@ -210,16 +203,14 @@ impl<J: ArrivalJob> ArrivalQueue<J> {
     /// Pops the next batch to serve at time `now` according to the policy.
     ///
     /// For [`SchedulingPolicy::StalenessDrop`], expired batches are
-    /// discarded (and counted) before selection; their originating clients
-    /// are reported in the second tuple element so the trainer can notify
-    /// them.
+    /// discarded before selection and returned in the second tuple
+    /// element, so the trainer can notify their senders and count them.
     pub fn pop(&mut self, now: SimTime) -> (Option<QueuedJob<J>>, Vec<J>) {
         let mut discarded = Vec::new();
         if let SchedulingPolicy::StalenessDrop { max_age } = self.policy {
             while let Some(front) = self.pending.front() {
                 if now.since(front.arrived_at) > max_age {
                     let job = self.pending.pop_front().expect("front exists");
-                    self.dropped += 1;
                     discarded.push(job.msg);
                 } else {
                     break;
@@ -440,7 +431,6 @@ mod tests {
         assert_eq!(discarded.len(), 1);
         assert_eq!(discarded[0].from, EndSystemId(0));
         assert_eq!(job.unwrap().msg.from, EndSystemId(1));
-        assert_eq!(q.dropped(), 1);
     }
 
     #[test]
@@ -642,7 +632,7 @@ mod tests {
 
             /// Staleness-drop policy invariant: a served batch is never
             /// older than `max_age` at service time, and everything expired
-            /// ahead of it is discarded and counted, regardless of arrival
+            /// ahead of it is discarded and handed back, regardless of arrival
             /// timing.
             #[test]
             fn staleness_drop_never_serves_expired_batches(
@@ -676,7 +666,6 @@ mod tests {
                     served += 1;
                 }
                 prop_assert_eq!(served + discarded_total, total);
-                prop_assert_eq!(q.dropped(), discarded_total as u64);
             }
         }
     }

@@ -2,6 +2,7 @@
 //! trained on every end-system's smashed activations.
 
 use crate::aggregate::{AggregationPolicy, RobustAggregator, RobustApply};
+use crate::client::EndSystem;
 use crate::guard::{validate_update, Anomaly, GuardConfig};
 use crate::protocol::{ActivationMsg, GradientMsg};
 use stsl_data::ImageDataset;
@@ -230,21 +231,23 @@ impl CentralServer {
         batch_size: usize,
         mut encode: impl FnMut(&Tensor) -> Tensor,
     ) -> f32 {
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        let mut start = 0;
-        while start < test.len() {
-            let end = (start + batch_size).min(test.len());
-            let indices: Vec<usize> = (start..end).collect();
-            let (images, targets) = test.batch(&indices);
-            let encoded = encode(&images);
-            let logits = self.infer(&encoded);
-            let preds = logits.argmax_rows();
-            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
-            total += targets.len();
-            start = end;
-        }
-        hits as f32 / total.max(1) as f32
+        test.accuracy(batch_size, |images| {
+            self.infer(&encode(images)).argmax_rows()
+        })
+    }
+
+    /// Test accuracy of each end-system's private encoder under the
+    /// shared upper model, in batches of `batch_size`.
+    pub(crate) fn evaluate_encoders(
+        &mut self,
+        test: &ImageDataset,
+        batch_size: usize,
+        clients: &mut [EndSystem],
+    ) -> Vec<f32> {
+        clients
+            .iter_mut()
+            .map(|c| self.evaluate_with_encoder(test, batch_size, |x| c.encode(x)))
+            .collect()
     }
 
     /// The upper model (for checkpointing in experiments).

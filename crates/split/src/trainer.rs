@@ -6,7 +6,7 @@
 //! the shared upper model on *all* of them and returns cut-layer
 //! gradients. It reproduces Table I.
 
-use crate::checkpoint::CheckpointRing;
+use crate::checkpoint::{Checkpoint, CheckpointRing};
 use crate::client::EndSystem;
 use crate::config::SplitConfig;
 use crate::guard::{tensor_rms, GuardConfig, HealthWatchdog, LR_COOLDOWN};
@@ -265,6 +265,23 @@ impl SpatioTemporalTrainer {
         &self.ring
     }
 
+    /// Snapshots the full deployment state.
+    pub fn checkpoint(&mut self) -> Checkpoint {
+        Checkpoint::capture(&self.config, &mut self.server, &mut self.clients)
+    }
+
+    /// Restores parameters from a checkpoint taken on an
+    /// identically-configured deployment.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the end-system count differs; panics on
+    /// per-tensor shape mismatches (a checkpoint from a different
+    /// architecture is a programming error, not a runtime condition).
+    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), ConfigError> {
+        checkpoint.restore_into(&mut self.server, &mut self.clients)
+    }
+
     /// Installs `ring` (e.g. loaded from disk after a crash) and restores
     /// the deployment from its newest entry, if any. Returns whether a
     /// checkpoint was applied.
@@ -287,13 +304,8 @@ impl SpatioTemporalTrainer {
     /// Test accuracy per end-system encoder.
     pub fn evaluate_per_client(&mut self, test: &ImageDataset) -> Vec<f32> {
         let batch = self.config.batch_size.max(32);
-        self.clients
-            .iter_mut()
-            .map(|c| {
-                self.server
-                    .evaluate_with_encoder(test, batch, |x| c.encode(x))
-            })
-            .collect()
+        self.server
+            .evaluate_encoders(test, batch, &mut self.clients)
     }
 
     /// Mean test accuracy over end-system encoders — the deployment-time

@@ -176,20 +176,12 @@ impl UShapedTrainer {
     pub fn evaluate_client(&mut self, i: usize, test: &ImageDataset) -> f32 {
         let batch = self.config.batch_size.max(32);
         let client = &mut self.clients[i];
-        let mut hits = 0usize;
-        let mut start = 0;
-        while start < test.len() {
-            let end = (start + batch).min(test.len());
-            let indices: Vec<usize> = (start..end).collect();
-            let (images, targets) = test.batch(&indices);
-            let smashed = client.lower.forward(&images, Mode::Eval);
-            let features = self.server_middle.forward(&smashed, Mode::Eval);
-            let logits = client.head.forward(&features, Mode::Eval);
-            let preds = logits.argmax_rows();
-            hits += preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
-            start = end;
-        }
-        hits as f32 / test.len().max(1) as f32
+        let middle = &mut self.server_middle;
+        test.accuracy(batch, |images| {
+            let smashed = client.lower.forward(images, Mode::Eval);
+            let features = middle.forward(&smashed, Mode::Eval);
+            client.head.forward(&features, Mode::Eval).argmax_rows()
+        })
     }
 
     /// Mean test accuracy across clients.

@@ -9,8 +9,9 @@
 //! Report counters are reads of that bank, so a kind cannot be recorded
 //! without also being counted.
 //!
-//! This file is the audit's R3 ground truth: every variant must be
-//! recorded somewhere in non-test code.
+//! Every variant must be recorded somewhere: `tests/async_golden.rs`
+//! checks that its golden runs fire every kind but the fleet-only
+//! [`EventKind::CohortStep`], which the fleet's unit test covers.
 
 /// What happened.
 ///

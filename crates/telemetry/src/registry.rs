@@ -4,9 +4,10 @@
 //! Every [`MetricId`] variant appears in [`MetricId::ALL`] at its
 //! [`MetricId::index`] (a unit test checks the order), so
 //! [`MetricRegistry::snapshot`] exports it even when empty, under the
-//! label its exhaustive [`MetricId::as_str`] gives it. The audit's R5
-//! rule checks that each one is recorded by at least one instrumentation
-//! site elsewhere in the workspace.
+//! label its exhaustive [`MetricId::as_str`] gives it. Every metric must
+//! be sampled somewhere: `tests/async_golden.rs` checks that its golden
+//! runs sample every metric but the fleet-only [`MetricId::CohortSize`],
+//! which the fleet's unit test covers.
 
 use std::collections::BTreeMap;
 

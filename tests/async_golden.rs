@@ -23,7 +23,7 @@ use spatio_temporal_split_learning::split::{
     AggregationPolicy, AsyncSplitTrainer, ComputeModel, CutPoint, DeadlineConfig, GuardConfig,
     OverloadConfig, RetryPolicy, SchedulingPolicy, SplitConfig,
 };
-use spatio_temporal_split_learning::telemetry::EventKind;
+use spatio_temporal_split_learning::telemetry::{EventKind, MetricId};
 use spatio_temporal_split_learning::tensor::{with_backend, Backend};
 
 const GUARDED_CSV: &str = include_str!("fixtures/async_golden_guarded.csv");
@@ -43,16 +43,28 @@ fn data(n: usize, seed: u64) -> ImageDataset {
         .generate_sized(n, 16)
 }
 
-/// What one run exports, plus its per-kind event counts.
+/// What one run exports, plus its per-kind event counts and per-metric
+/// sample counts (all zero without telemetry).
 struct Golden {
     csv: String,
     json: String,
     counts: Vec<u64>,
+    samples: Vec<u64>,
 }
 
 fn export(mut trainer: AsyncSplitTrainer, test: &ImageDataset) -> Golden {
     trainer.enable_trace();
     let report = trainer.run(test);
+    let samples = match trainer.telemetry() {
+        Some(hub) => hub
+            .registry()
+            .snapshot(0, 0)
+            .metrics
+            .iter()
+            .map(|m| m.series.iter().map(|s| s.count).sum())
+            .collect(),
+        None => vec![0; MetricId::COUNT],
+    };
     Golden {
         csv: trainer.trace().expect("trace enabled").to_csv(),
         json: serde_json::to_string(&report).expect("reports serialize"),
@@ -60,6 +72,7 @@ fn export(mut trainer: AsyncSplitTrainer, test: &ImageDataset) -> Golden {
             .iter()
             .map(|&k| trainer.event_log().count(k))
             .collect(),
+        samples,
     }
 }
 
@@ -243,8 +256,10 @@ fn async_runs_match_golden_fixtures() {
         assert_same(&format!("{name} report"), &run.json, json.trim_end());
     }
     // Every kind the trainer records fires in at least one run, so the
-    // fixtures pin each event handler, not just the common path. Cohort
-    // steps belong to the fleet.
+    // fixtures pin each event handler, not just the common path, and
+    // every metric it observes gets a sample, so no instrumentation site
+    // is dead. Cohort steps and cohort sizes belong to the fleet, whose
+    // unit test checks them.
     for kind in EventKind::ALL {
         if kind == EventKind::CohortStep {
             continue;
@@ -252,6 +267,15 @@ fn async_runs_match_golden_fixtures() {
         assert!(
             runs.iter().any(|r| r.counts[kind.index()] > 0),
             "{kind:?} never fires in a golden run"
+        );
+    }
+    for metric in MetricId::ALL {
+        if metric == MetricId::CohortSize {
+            continue;
+        }
+        assert!(
+            runs.iter().any(|r| r.samples[metric.index()] > 0),
+            "{metric:?} is never sampled in a golden run"
         );
     }
 }
