@@ -649,8 +649,8 @@ fn canonical_args(tokens: &[Tok], open: usize) -> Option<String> {
 }
 
 /// R9: env-read discipline. `env::var`/`env::var_os` anywhere outside
-/// the sanctioned config/backend-selection files forks behaviour on
-/// state the experiment configs do not record.
+/// the sanctioned config files forks behaviour on state the experiment
+/// configs do not record.
 fn scan_r9(
     file: &SourceFile,
     tokens: &[Tok],

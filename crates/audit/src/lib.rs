@@ -26,8 +26,10 @@
 //!   combiners).
 //! - **R8 `rng-stream`** — every RNG derives from the seeded root
 //!   (`rng_from_seed`/`derive_seed`), with no seed-expression reuse.
-//! - **R9 `env-read`** — `env::var` only at the sanctioned
-//!   config/backend-selection sites.
+//! - **R9 `env-read`** — `env::var` only at the three sanctioned config
+//!   sites: `stsl-parallel` (`STSL_THREADS`), `stsl-bench`
+//!   (`STSL_RESULTS`, `STSL_CIFAR_DIR`) and the audit binary
+//!   (`CARGO_MANIFEST_DIR`).
 //!
 //! R3 (every `EventKind` recorded) and R5 (every `MetricId` sampled) are
 //! retired. Liveness is now checked at runtime: `tests/async_golden.rs`

@@ -1,6 +1,6 @@
 //! Fixture: one R9 (env-read) violation — an environment read outside
-//! the sanctioned config/backend-selection files. The same bytes under
-//! a sanctioned path are clean.
+//! the sanctioned config files. The same bytes under a sanctioned path
+//! are clean.
 
 pub fn backend_override() -> Option<String> {
     std::env::var("STSL_FIXTURE_BACKEND").ok()

@@ -76,7 +76,6 @@ impl Row {
 #[derive(Serialize)]
 struct FleetSweep {
     data_source: String,
-    queue: String,
     rows: Vec<Row>,
 }
 
@@ -97,8 +96,7 @@ fn main() {
     }
 
     println!(
-        "E16 fleet sweep — queue {} — sizes 64(crossval){}",
-        stsl_simnet::QueueKind::active().name(),
+        "E16 fleet sweep — sizes 64(crossval){}",
         sizes.iter().map(|n| format!(" {}", n)).collect::<String>()
     );
 
@@ -176,7 +174,6 @@ fn main() {
 
     let sweep = FleetSweep {
         data_source: source.to_string(),
-        queue: stsl_simnet::QueueKind::active().name().to_string(),
         rows,
     };
     let data_json = serde_json::to_string_pretty(&sweep).expect("serialize sweep");

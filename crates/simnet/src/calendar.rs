@@ -1,4 +1,5 @@
-//! A calendar (bucket) priority queue for fleet-scale event volumes.
+//! A calendar (bucket) priority queue: the backing of
+//! [`crate::EventQueue`].
 //!
 //! The classic calendar queue (Brown 1988) hashes each event into a
 //! circular array of time buckets of equal width; `pop` scans forward
@@ -8,11 +9,18 @@
 //! a lap over empty buckets) they degrade gracefully to O(n) while
 //! remaining exactly ordered.
 //!
+//! Against a `BinaryHeap` in ten alternating perfbench pairs on
+//! `fleet_100k` (seed 1, 20 s, 2 threads on a 2-vCPU host) it won 9 of 10
+//! on `samples_per_s` (median 768 against 675) and 10 of 10 on `setup_s`
+//! (0.0125 against 0.0150 s), and lost 10 of 10 on `peak_rss_mb` (46.0
+//! against 19.7 MiB); DESIGN.md §15 records why that made it the backing.
+//!
 //! # Ordering contract
 //!
-//! Pops are globally ordered by `(time, seq)`, bitwise identical to the
-//! `BinaryHeap` reference in [`crate::EventQueue`]. Two facts make the
-//! forward bucket scan sufficient:
+//! Pops are globally ordered by `(time, seq)`, the order a `BinaryHeap`
+//! keyed on `(time, seq)` gives; `tests/queue_equivalence.rs` checks the
+//! two against each other. Two facts make the forward bucket scan
+//! sufficient:
 //!
 //! * Every entry is *placed* at `max(event time, queue clock at insert)`
 //!   — the clamp [`crate::EventQueue::pop`] applies at fire time, applied
@@ -47,8 +55,9 @@ pub(crate) struct CalEntry<T> {
 
 /// Smallest bucket array; stays this size for tiny queues.
 const MIN_BUCKETS: usize = 8;
-/// Largest bucket array (2^20 slots ≈ 8 MiB of Vec headers); beyond this
-/// the per-bucket chains just get longer, which is still correct.
+/// Largest bucket array (2^20 slots × 24-byte Vec headers = 24 MiB);
+/// beyond this the per-bucket chains just get longer, which is still
+/// correct.
 const MAX_BUCKETS: usize = 1 << 20;
 /// Upper bound on the bucket-width exponent: 2^40 µs ≈ 12.7 simulated
 /// days per bucket is wider than any span the trainers generate.
@@ -111,11 +120,6 @@ impl<T> CalendarQueue<T> {
             self.resize(self.len.max(1).next_power_of_two());
         }
         Some(entry)
-    }
-
-    /// Raw timestamp of the `(time, seq)`-minimal pending entry.
-    pub fn peek_time(&self, now: SimTime) -> Option<SimTime> {
-        self.find_min(now).map(|(b, i)| self.buckets[b][i].time)
     }
 
     /// Locates the `(time, seq)`-minimal entry as `(bucket, index)`.

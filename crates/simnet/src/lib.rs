@@ -44,7 +44,7 @@ mod time;
 mod topology;
 mod trace;
 
-pub use event::{with_queue_kind, EventQueue, QueueKind};
+pub use event::{EventQueue, QueueKind};
 pub use fault::{corrupt_payload, AttackSpec, FaultEpisode, FaultKind, FaultPlan};
 pub use link::{LatencyModel, Link};
 pub use time::{SimDuration, SimTime};

@@ -5,9 +5,7 @@
 //! the log's counter bank (the source of every event-count report field),
 //! appends to the [`TraceLog`] when tracing is on, and journals into the
 //! attached [`TelemetryHub`] when the kind is journaled. Metric samples
-//! and snapshots reach the hub only when one is attached. Experiments
-//! slice the trace by time window or end-system afterwards, which is
-//! useful for plotting queue dynamics without re-running the simulation.
+//! and snapshots reach the hub only when one is attached.
 
 use crate::{EndSystemId, SimTime};
 use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
@@ -66,15 +64,6 @@ impl TraceLog {
             .iter()
             .filter(|e| e.kind == kind && e.end_system == end_system)
             .count()
-    }
-
-    /// Events with `from <= at < to`, in recording order.
-    pub fn window(&self, from: SimTime, to: SimTime) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.at >= from && e.at < to)
-            .collect()
     }
 
     /// Renders the log as CSV (`time_us,kind,end_system`) for external
@@ -212,18 +201,6 @@ mod tests {
         assert_eq!(trace.count(EventKind::NetworkDrop), 0);
         assert_eq!(log.count(EventKind::Arrival), 2);
         assert_eq!(log.count(EventKind::NetworkDrop), 0);
-    }
-
-    #[test]
-    fn window_is_half_open() {
-        let mut log = traced();
-        for ms in [1u64, 5, 10, 15] {
-            log.record(t(ms), EventKind::Arrival, EndSystemId(0));
-        }
-        let w = log.trace().unwrap().window(t(5), t(15));
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].at, t(5));
-        assert_eq!(w[1].at, t(10));
     }
 
     #[test]

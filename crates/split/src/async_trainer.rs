@@ -614,10 +614,10 @@ impl AsyncSplitTrainer {
 
     /// Resets every piece of per-run state — everything stamped with the
     /// run's clock — so each run starts at time zero and reports only
-    /// itself. The event queue keeps the backing it was built with.
+    /// itself.
     fn reset_run(&mut self) {
         let n = self.clients.len();
-        self.events = EventQueue::with_kind(self.events.kind());
+        self.events = EventQueue::new();
         let mut queue = ArrivalQueue::new(self.policy, n);
         if let Some(cfg) = self.overload {
             queue = queue.with_capacity(cfg.queue_capacity);

@@ -6,8 +6,8 @@
 //! module makes fleet scale tractable with four moves (DESIGN.md §15):
 //!
 //! 1. **Calendar event queue** — the simulation loop runs on
-//!    [`stsl_simnet::EventQueue`], whose fleet-default calendar backing
-//!    keeps per-event cost O(1) amortized at 100k+ pending events.
+//!    [`stsl_simnet::EventQueue`], whose calendar backing keeps
+//!    per-event cost O(1) amortized at 100k+ pending events.
 //! 2. **Cohort-sharded client state** — N end-systems share K
 //!    [`EndSystem`] model replicas (one per cohort, each trained on its
 //!    own data shard, each with its own init seed), preserving the

@@ -16,15 +16,12 @@
 //!
 //! # Selection
 //!
-//! Resolution order, per kernel call:
-//!
-//! 1. a scope override installed by [`with_backend`] — propagated into
-//!    `stsl-parallel` worker threads, so a test that pins the backend
-//!    around a whole trainer run pins it for every nested kernel too;
-//! 2. the `STSL_BACKEND` environment variable (`blocked`/`simd` or
-//!    `reference`/`scalar`; an unparsable value falls back to the exact
-//!    reference path, mirroring how `STSL_THREADS` falls back to serial);
-//! 3. the default: [`Backend::Blocked`].
+//! Each kernel call runs the backend pinned by the innermost
+//! [`with_backend`] scope, else [`Backend::Blocked`]. The pin is
+//! propagated into `stsl-parallel` worker threads, so a test that pins
+//! the backend around a whole trainer run pins it for every nested kernel
+//! too. Nothing reads the environment: only the tests and the
+//! `parallel_speedup` bin pin the reference path.
 //!
 //! # Determinism
 //!
@@ -46,49 +43,25 @@ pub enum Backend {
     Blocked,
 }
 
-/// Scope-context bit pattern for a pinned reference backend.
+/// Scope-context bit set while the reference backend is pinned.
 const CTX_REFERENCE: u64 = 1;
-/// Scope-context bit pattern for a pinned blocked backend.
-const CTX_BLOCKED: u64 = 2;
-/// Mask of the scope-context bits owned by backend selection.
-const CTX_MASK: u64 = 0b11;
 
 impl Backend {
-    /// The backend kernels must dispatch to on this thread, resolved as
-    /// documented at the [module level](self).
+    /// The backend kernels must dispatch to on this thread: the
+    /// [`with_backend`] pin, else [`Backend::Blocked`].
     pub fn active() -> Backend {
-        match stsl_parallel::scope_context() & CTX_MASK {
-            CTX_REFERENCE => Backend::Reference,
-            CTX_BLOCKED => Backend::Blocked,
-            _ => Self::from_env(),
+        if stsl_parallel::scope_context() & CTX_REFERENCE != 0 {
+            Backend::Reference
+        } else {
+            Backend::default()
         }
     }
 
-    /// Parses a backend name: `reference`/`scalar` or `blocked`/`simd`
-    /// (ASCII case-insensitive).
-    pub fn parse(name: &str) -> Option<Backend> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "reference" | "scalar" => Some(Backend::Reference),
-            "blocked" | "simd" => Some(Backend::Blocked),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case name, the spelling `STSL_BACKEND` accepts and
-    /// the bench envelopes report.
+    /// Stable lower-case name, the spelling the bench outputs report.
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Reference => "reference",
             Backend::Blocked => "blocked",
-        }
-    }
-
-    /// Environment-level selection: `STSL_BACKEND`, else the default.
-    /// Unparsable values resolve to the exact reference path.
-    fn from_env() -> Backend {
-        match std::env::var("STSL_BACKEND") {
-            Ok(v) => Backend::parse(&v).unwrap_or(Backend::Reference),
-            Err(_) => Backend::default(),
         }
     }
 }
@@ -100,11 +73,11 @@ impl Backend {
 /// every worker thread a parallel kernel inside `f` spawns — a trainer
 /// fan-out over end-systems dispatches the pinned backend on all of them.
 pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
-    let bits = match backend {
-        Backend::Reference => CTX_REFERENCE,
-        Backend::Blocked => CTX_BLOCKED,
+    let others = stsl_parallel::scope_context() & !CTX_REFERENCE;
+    let ctx = match backend {
+        Backend::Reference => others | CTX_REFERENCE,
+        Backend::Blocked => others,
     };
-    let ctx = (stsl_parallel::scope_context() & !CTX_MASK) | bits;
     stsl_parallel::with_scope_context(ctx, f)
 }
 
@@ -113,25 +86,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_both_spellings() {
-        assert_eq!(Backend::parse("reference"), Some(Backend::Reference));
-        assert_eq!(Backend::parse("SCALAR"), Some(Backend::Reference));
-        assert_eq!(Backend::parse(" blocked "), Some(Backend::Blocked));
-        assert_eq!(Backend::parse("simd"), Some(Backend::Blocked));
-        assert_eq!(Backend::parse("gpu"), None);
-        assert_eq!(Backend::parse(""), None);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for b in [Backend::Reference, Backend::Blocked] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-    }
-
-    #[test]
     fn with_backend_pins_and_restores() {
         let outer = Backend::active();
+        assert_eq!(outer, Backend::Blocked);
         with_backend(Backend::Reference, || {
             assert_eq!(Backend::active(), Backend::Reference);
             with_backend(Backend::Blocked, || {

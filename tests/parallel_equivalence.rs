@@ -16,10 +16,10 @@
 //! accumulation order. Every test therefore runs the full
 //! {reference, blocked} × {1, 2, 4} threads matrix.
 //!
-//! Thread counts are forced with [`parallel::with_threads`] and backends
-//! with [`tensor::with_backend`]; both take precedence over the
-//! `STSL_THREADS` / `STSL_BACKEND` environment variables, so the suite
-//! proves the same thing no matter what CI sets them to.
+//! Thread counts are forced with [`parallel::with_threads`], which takes
+//! precedence over the `STSL_THREADS` environment variable, and backends
+//! with [`tensor::with_backend`], so the suite proves the same thing no
+//! matter what CI sets.
 
 use spatio_temporal_split_learning::data::SyntheticCifar;
 use spatio_temporal_split_learning::parallel;

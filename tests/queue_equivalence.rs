@@ -1,36 +1,30 @@
-//! Calendar-queue / binary-heap equivalence — the contract of the
-//! `stsl-simnet` event-queue seam.
+//! Event-queue ordering — the contract every simulation trace rests on.
 //!
-//! The fleet subsystem swaps the reference `BinaryHeap` event queue for
-//! an O(log n)-amortized calendar queue, selected exactly like the
-//! numeric `Backend` (scope context → `STSL_QUEUE` → default). Unlike
-//! the numeric backends, the two queues must be **bitwise identical** in
-//! observable behavior: same `(time, seq)` pop order for every
-//! interleaving of schedules and pops, including same-timestamp bursts
-//! (where only the insertion sequence number breaks the tie) and
-//! far-future events that land outside the calendar's current lap.
-//!
-//! Three layers pin the contract: randomized queue-level interleavings
-//! (proptest), a four-end-system async training epoch whose event trace
-//! CSV must match byte-for-byte, and the fleet trainer's debug report.
+//! `stsl_simnet::EventQueue` is backed by a calendar queue. It must pop
+//! in exactly the order a `BinaryHeap` keyed on `(time, insertion seq)`
+//! gives, with a clock that never runs backwards, for every interleaving
+//! of schedules and pops: same-timestamp bursts (where only the insertion
+//! sequence number breaks the tie) and far-future events that land
+//! outside the calendar's current lap included. The heap here is the
+//! test-local oracle; `tests/async_golden.rs` pins the trainer traces
+//! built on top of the queue.
 
 use proptest::prelude::*;
-use spatio_temporal_split_learning::data::SyntheticCifar;
-use spatio_temporal_split_learning::simnet::{
-    with_queue_kind, EventQueue, Link, QueueKind, SimTime, StarTopology,
-};
-use spatio_temporal_split_learning::split::{
-    AsyncSplitTrainer, ComputeModel, CutPoint, FleetConfig, FleetTrainer, SchedulingPolicy,
-    SplitConfig,
-};
+use spatio_temporal_split_learning::simnet::{EventQueue, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-const BOTH: [QueueKind; 2] = [QueueKind::Reference, QueueKind::Calendar];
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Schedule(u64),
+    Pop,
+}
 
-/// Replays `ops` against a fresh queue of the given kind and returns the
+/// Replays `ops` against a fresh [`EventQueue`] and returns the
 /// observable history: every pop's `(fire_time_us, payload)` plus the
-/// final drain order.
-fn replay(kind: QueueKind, ops: &[QueueOp]) -> Vec<(u64, u32)> {
-    let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
+/// final drain order. Payloads number the schedules in order.
+fn replay_queue(ops: &[QueueOp]) -> Vec<(u64, u32)> {
+    let mut q: EventQueue<u32> = EventQueue::new();
     let mut history = Vec::new();
     let mut next_payload = 0u32;
     for op in ops {
@@ -52,10 +46,31 @@ fn replay(kind: QueueKind, ops: &[QueueOp]) -> Vec<(u64, u32)> {
     history
 }
 
-#[derive(Debug, Clone, Copy)]
-enum QueueOp {
-    Schedule(u64),
-    Pop,
+/// The oracle: the same replay on a min-heap of `(time, seq)` (the
+/// payload is the sequence number), firing each event at
+/// `max(time, clock)` so the clock is monotone.
+fn replay_heap(ops: &[QueueOp]) -> Vec<(u64, u32)> {
+    let mut heap = BinaryHeap::new();
+    let mut now = 0u64;
+    let mut fire = |Reverse((t, seq)): Reverse<(u64, u32)>| {
+        now = now.max(t);
+        (now, seq)
+    };
+    let mut history = Vec::new();
+    let mut next_seq = 0u32;
+    for op in ops {
+        match *op {
+            QueueOp::Schedule(at_us) => {
+                heap.push(Reverse((at_us, next_seq)));
+                next_seq += 1;
+            }
+            QueueOp::Pop => history.extend(heap.pop().map(&mut fire)),
+        }
+    }
+    while let Some(entry) = heap.pop() {
+        history.push(fire(entry));
+    }
+    history
 }
 
 /// Strategy: a mixed script of schedules and pops. Timestamps cluster in
@@ -83,67 +98,37 @@ proptest! {
 
     #[test]
     fn calendar_and_heap_pop_identically(ops in ops_strategy()) {
-        let reference = replay(QueueKind::Reference, &ops);
-        let calendar = replay(QueueKind::Calendar, &ops);
-        prop_assert_eq!(reference, calendar);
+        prop_assert_eq!(replay_queue(&ops), replay_heap(&ops));
     }
+}
+
+#[test]
+fn long_mixed_script_matches_heap() {
+    // 500 schedules with a pop after every third: far-future spikes,
+    // inserts behind the clock, and enough pending events for several
+    // calendar resizes, beyond what the proptest's 200-op scripts reach.
+    let ops: Vec<QueueOp> = (0..500u64)
+        .flat_map(|i| {
+            let far = if i.is_multiple_of(17) {
+                1_000_000_000
+            } else {
+                0
+            };
+            let pop = i.is_multiple_of(3).then_some(QueueOp::Pop);
+            std::iter::once(QueueOp::Schedule((i * 7919) % 10_000 + far)).chain(pop)
+        })
+        .collect();
+    assert_eq!(replay_queue(&ops), replay_heap(&ops));
 }
 
 #[test]
 fn same_timestamp_burst_breaks_ties_by_sequence() {
     // 1000 events on one timestamp: pop order must be insertion order
-    // for both kinds (seq is the only tie-break).
-    for kind in BOTH {
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        for i in 0..1000u32 {
-            q.schedule(SimTime::from_micros(42), i);
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, (0..1000).collect::<Vec<u32>>(), "kind {kind:?}");
+    // (seq is the only tie-break).
+    let mut q: EventQueue<u32> = EventQueue::new();
+    for i in 0..1000u32 {
+        q.schedule(SimTime::from_micros(42), i);
     }
-}
-
-#[test]
-fn four_client_async_trace_is_bitwise_identical_across_queue_kinds() {
-    let train = SyntheticCifar::new(5).generate_sized(96, 16);
-    let test = SyntheticCifar::new(6).generate_sized(24, 16);
-    let run = |kind: QueueKind| {
-        with_queue_kind(kind, || {
-            let cfg = SplitConfig::tiny(CutPoint(1), 4).epochs(1).seed(9);
-            let mut t = AsyncSplitTrainer::new(
-                cfg,
-                &train,
-                StarTopology::uniform(4, Link::wan(20.0, 100.0)),
-                SchedulingPolicy::RoundRobin,
-                ComputeModel::default(),
-            )
-            .expect("valid config");
-            t.enable_trace();
-            let report = t.run(&test);
-            let csv = t.trace().expect("trace enabled").to_csv();
-            (csv, format!("{report:?}"))
-        })
-    };
-    let (csv_ref, report_ref) = run(QueueKind::Reference);
-    let (csv_cal, report_cal) = run(QueueKind::Calendar);
-    assert_eq!(csv_ref, csv_cal, "trace CSV must match byte-for-byte");
-    assert_eq!(report_ref, report_cal);
-}
-
-#[test]
-fn fleet_report_is_identical_across_queue_kinds() {
-    let train = SyntheticCifar::new(3)
-        .difficulty(0.05)
-        .generate_sized(64, 16);
-    let test = SyntheticCifar::new(4)
-        .difficulty(0.05)
-        .generate_sized(16, 16);
-    let run = |kind: QueueKind| {
-        with_queue_kind(kind, || {
-            let mut fleet =
-                FleetTrainer::new(FleetConfig::smoke(50), &train).expect("smoke config is valid");
-            format!("{:?}", fleet.run(&test))
-        })
-    };
-    assert_eq!(run(QueueKind::Reference), run(QueueKind::Calendar));
+    let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+    assert_eq!(order, (0..1000).collect::<Vec<u32>>());
 }
