@@ -2,7 +2,10 @@
 //!
 //! Small runs, with the integrity guard and without (the two take
 //! different decode paths for a garbled frame), must reproduce byte for
-//! byte the trace CSV and report JSON stored under `tests/fixtures/`.
+//! byte the trace CSV and report JSON stored under `tests/fixtures/`, and
+//! the two runs with telemetry also their telemetry export (snapshots,
+//! journal and eviction count; both journals overflow, so eviction order
+//! is pinned too).
 //! Between them the runs reach every event the trainer handles: lossy
 //! and corrupting links, a crash window with auto-checkpoint, a server
 //! stall, a loss surge that trips a circuit breaker under overload
@@ -32,6 +35,8 @@ const UNGUARDED_CSV: &str = include_str!("fixtures/async_golden_unguarded.csv");
 const UNGUARDED_JSON: &str = include_str!("fixtures/async_golden_unguarded.json");
 const DIVERGING_CSV: &str = include_str!("fixtures/async_golden_diverging.csv");
 const DIVERGING_JSON: &str = include_str!("fixtures/async_golden_diverging.json");
+const GUARDED_TELEMETRY: &str = include_str!("fixtures/async_golden_guarded_telemetry.json");
+const UNGUARDED_TELEMETRY: &str = include_str!("fixtures/async_golden_unguarded_telemetry.json");
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_millis(v)
@@ -44,10 +49,12 @@ fn data(n: usize, seed: u64) -> ImageDataset {
 }
 
 /// What one run exports, plus its per-kind event counts and per-metric
-/// sample counts (all zero without telemetry).
+/// sample counts (the export empty and the samples zero without
+/// telemetry).
 struct Golden {
     csv: String,
     json: String,
+    telemetry: String,
     counts: Vec<u64>,
     samples: Vec<u64>,
 }
@@ -68,6 +75,12 @@ fn export(mut trainer: AsyncSplitTrainer, test: &ImageDataset) -> Golden {
     Golden {
         csv: trainer.trace().expect("trace enabled").to_csv(),
         json: serde_json::to_string(&report).expect("reports serialize"),
+        // One snapshot or journal row per line, so a mismatch names the
+        // first row that differs.
+        telemetry: trainer
+            .telemetry()
+            .map(|hub| hub.export_json().replace("},{", "},\n{"))
+            .unwrap_or_default(),
         counts: EventKind::ALL
             .iter()
             .map(|&k| trainer.event_log().count(k))
@@ -247,13 +260,23 @@ fn assert_same(name: &str, actual: &str, fixture: &str) {
 fn async_runs_match_golden_fixtures() {
     let runs = with_backend(Backend::Blocked, || [guarded(), unguarded(), diverging()]);
     let fixtures = [
-        ("guarded", GUARDED_CSV, GUARDED_JSON),
-        ("unguarded", UNGUARDED_CSV, UNGUARDED_JSON),
-        ("diverging", DIVERGING_CSV, DIVERGING_JSON),
+        ("guarded", GUARDED_CSV, GUARDED_JSON, GUARDED_TELEMETRY),
+        (
+            "unguarded",
+            UNGUARDED_CSV,
+            UNGUARDED_JSON,
+            UNGUARDED_TELEMETRY,
+        ),
+        ("diverging", DIVERGING_CSV, DIVERGING_JSON, ""),
     ];
-    for (run, (name, csv, json)) in runs.iter().zip(fixtures) {
+    for (run, (name, csv, json, telemetry)) in runs.iter().zip(fixtures) {
         assert_same(&format!("{name} trace"), &run.csv, csv);
         assert_same(&format!("{name} report"), &run.json, json.trim_end());
+        assert_same(
+            &format!("{name} telemetry"),
+            &run.telemetry,
+            telemetry.trim_end(),
+        );
     }
     // Every kind the trainer records fires in at least one run, so the
     // fixtures pin each event handler, not just the common path, and
