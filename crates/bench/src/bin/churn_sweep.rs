@@ -17,8 +17,7 @@
 //!    wait.
 //!
 //! Every value derives from simulated time, so the file is bitwise
-//! identical for any `STSL_THREADS` (CI diffs the bytes across thread
-//! counts); the results envelope therefore omits the thread count.
+//! identical for any `STSL_THREADS`.
 //!
 //! ```text
 //! cargo run -p stsl-bench --release --bin churn_sweep
@@ -26,7 +25,7 @@
 //! ```
 
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
+use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{FaultPlan, Link, SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, DeadlineConfig, OverloadConfig,
@@ -303,6 +302,5 @@ fn main() {
         rows,
         overload: overload_rows,
     };
-    let data_json = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
-    write_results_deterministic("churn", "churn_sweep", seed, &data_json);
+    write_results("churn", "churn_sweep", seed, &sweep);
 }

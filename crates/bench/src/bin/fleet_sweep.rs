@@ -10,9 +10,7 @@
 //! also runs, so `results/scale.json` and `results/fleet.json` overlap
 //! on one point for cross-validation.
 //!
-//! The JSON envelope is written with [`write_results_deterministic`], so
-//! the file is byte-identical across `STSL_THREADS` settings — CI diffs
-//! the two legs.
+//! The file is byte-identical across `STSL_THREADS` settings.
 //!
 //! ```text
 //! cargo run -p stsl-bench --release --bin fleet_sweep -- --quick   # 64 + 1k
@@ -21,7 +19,7 @@
 //! ```
 
 use serde::Serialize;
-use stsl_bench::{crossval_fleet_data, load_data, render_table, write_results_deterministic, Args};
+use stsl_bench::{crossval_fleet_data, load_data, render_table, write_results, Args};
 use stsl_split::{FleetConfig, FleetReport, FleetTrainer, WallTimer};
 
 #[derive(Serialize)]
@@ -176,8 +174,7 @@ fn main() {
         data_source: source.to_string(),
         rows,
     };
-    let data_json = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
-    write_results_deterministic("fleet", "fleet_sweep", seed, &data_json);
+    write_results("fleet", "fleet_sweep", seed, &sweep);
 }
 
 fn print_row(r: &FleetReport, wall_secs: f64, crossval: bool) {

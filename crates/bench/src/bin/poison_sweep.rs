@@ -18,8 +18,7 @@
 //! alongside as `fleet_accuracy`).
 //!
 //! Every value derives from simulated time and seeded RNG, so the file is
-//! bitwise identical for any `STSL_THREADS` (CI diffs the bytes across
-//! thread counts); the results envelope therefore omits the thread count.
+//! bitwise identical for any `STSL_THREADS`.
 //!
 //! ```text
 //! cargo run -p stsl-bench --release --bin poison_sweep
@@ -27,7 +26,7 @@
 //! ```
 
 use serde::Serialize;
-use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
+use stsl_bench::{load_data, render_table, write_results, Args};
 use stsl_simnet::{AttackSpec, FaultPlan, Link, SimDuration, SimTime, StarTopology};
 use stsl_split::{
     AggregationPolicy, AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, GuardConfig,
@@ -345,6 +344,5 @@ fn main() {
         fractions,
         rows,
     };
-    let data_json = serde_json::to_string_pretty(&sweep).expect("serialize sweep");
-    write_results_deterministic("poison", "poison_sweep", seed, &data_json);
+    write_results("poison", "poison_sweep", seed, &sweep);
 }

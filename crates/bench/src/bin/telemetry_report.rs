@@ -2,22 +2,22 @@
 //! distributions, the event journal, and the live dashboard.
 //!
 //! Runs the asynchronous trainer over a latency-gradient star topology
-//! with the telemetry hub attached, prints the final dashboard snapshot,
-//! and writes `results/telemetry.json`: per-end-system p50/p90/p99
-//! uplink/downlink latency, gradient staleness and service-time
-//! histograms plus the sim-time-stamped event journal.
+//! with telemetry on, prints the final dashboard snapshot, and writes
+//! `results/telemetry.json`: per-end-system p50/p90/p99 uplink/downlink
+//! latency, gradient staleness and service-time histograms plus the
+//! sim-time-stamped event journal.
 //!
 //! The output is part of the determinism contract: every value derives
 //! from simulated time, so the file is bitwise identical for any
-//! `STSL_THREADS` (CI diffs the bytes across thread counts). The results
-//! envelope therefore omits the thread count.
+//! `STSL_THREADS` (CI diffs it against the committed `results/quick/`
+//! snapshot at 1 and 4 threads).
 //!
 //! ```text
 //! cargo run -p stsl-bench --release --bin telemetry_report
 //! cargo run -p stsl-bench --release --bin telemetry_report -- --quick
 //! ```
 
-use stsl_bench::{load_data, render_table, write_results_deterministic, Args};
+use stsl_bench::{load_data, render_table, write_results_json, Args};
 use stsl_simnet::{SimDuration, StarTopology};
 use stsl_split::{
     AsyncSplitTrainer, CnnArch, ComputeModel, CutPoint, RetryPolicy, SchedulingPolicy, SplitConfig,
@@ -65,13 +65,12 @@ fn main() {
             .expect("valid config")
             .with_retry_policy(RetryPolicy::from_timeout(SimDuration::from_millis(400)))
             .with_telemetry(SimDuration::from_millis(snapshot_ms), journal_cap);
-    trainer.enable_trace();
 
     let r = trainer.run_with_budget(&test, Some(SimDuration::from_secs_f64(budget_s)));
-    let hub = trainer.telemetry().expect("telemetry enabled");
+    let telemetry = trainer.telemetry().expect("telemetry enabled");
 
     println!();
-    match hub.latest_snapshot() {
+    match telemetry.latest_snapshot() {
         Some(snap) => println!("{}", render_dashboard(snap)),
         None => println!("(no snapshot emitted)"),
     }
@@ -79,7 +78,7 @@ fn main() {
     // Per-end-system latency/staleness summary table.
     let mut rows = Vec::new();
     for actor in 0..clients as u64 {
-        let cell = |metric: MetricId| match hub.registry().histogram(metric, actor) {
+        let cell = |metric: MetricId| match telemetry.registry().histogram(metric, actor) {
             Some(h) => format!("{}/{}/{}", h.p50(), h.p90(), h.p99()),
             None => "-".to_string(),
         };
@@ -105,7 +104,7 @@ fn main() {
     println!(
         "snapshots {}  journal events {} (evicted {})  served {:?}",
         r.snapshots_emitted,
-        hub.journal_log().len(),
+        telemetry.journal().len(),
         r.journal_dropped,
         r.served_per_client
     );
@@ -120,7 +119,7 @@ fn main() {
         r.sim_seconds,
         r.snapshots_emitted,
         r.journal_dropped,
-        hub.export_json()
+        telemetry.export_json()
     );
-    write_results_deterministic("telemetry", "telemetry_report", seed, &data_json);
+    write_results_json("telemetry", "telemetry_report", seed, &data_json);
 }

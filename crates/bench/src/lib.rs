@@ -10,7 +10,7 @@
 
 pub mod results;
 
-pub use results::{write_results, write_results_deterministic, RESULTS_SCHEMA};
+pub use results::{write_results, write_results_json, RESULTS_SCHEMA};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -2,26 +2,25 @@
 //!
 //! Every bin used to hand-roll its own `results/*.json` write; this
 //! module gives them one envelope and one atomic writer. The envelope
-//! carries a schema tag plus the three facts a reader needs to reproduce
-//! the file — which bin wrote it, under which seed, and at which
-//! `STSL_THREADS` — with the payload under `data`:
+//! carries a schema tag plus the two facts a reader needs to reproduce
+//! the file — which bin wrote it and under which seed — with the payload
+//! under `data`:
 //!
 //! ```json
 //! {
 //!   "schema": "stsl-results/v1",
 //!   "bin": "table1",
 //!   "seed": 42,
-//!   "stsl_threads": 4,
 //!   "data": { ... }
 //! }
 //! ```
 //!
+//! The envelope names no thread count: every file but `parallel.json`
+//! (timings) is byte-identical at any `STSL_THREADS`, and
+//! `parallel.json`'s payload records the threads it asked for and got.
+//!
 //! Files are written to a temporary sibling and renamed into place, so a
 //! crashed run never leaves a truncated JSON file where a good one stood.
-//!
-//! [`write_results_deterministic`] omits `stsl_threads` for outputs that
-//! must be bitwise identical across thread counts (the telemetry report's
-//! determinism contract is checked by diffing the bytes).
 
 use crate::results_dir;
 use serde::Serialize;
@@ -35,31 +34,24 @@ pub const RESULTS_SCHEMA: &str = "stsl-results/v1";
 /// name, `seed` its run seed.
 pub fn write_results<T: Serialize>(name: &str, bin: &str, seed: u64, data: &T) {
     let payload = serde_json::to_string_pretty(data).expect("serialize result");
-    let json = envelope(bin, seed, Some(stsl_parallel::max_threads()), &payload);
-    persist(name, &json);
+    write_results_json(name, bin, seed, &payload);
 }
 
-/// Like [`write_results`] but takes the payload as pre-rendered JSON and
-/// omits the `stsl_threads` field, for outputs whose bytes must not vary
-/// with the thread count.
-pub fn write_results_deterministic(name: &str, bin: &str, seed: u64, data_json: &str) {
-    let json = envelope(bin, seed, None, data_json);
-    persist(name, &json);
+/// Like [`write_results`] but takes the payload as pre-rendered JSON, for
+/// a payload rendered by hand (the telemetry report's).
+pub fn write_results_json(name: &str, bin: &str, seed: u64, data_json: &str) {
+    persist(name, &envelope(bin, seed, data_json));
 }
 
 /// Renders the envelope around an already-serialized payload. The
 /// envelope is assembled textually because the payload type is generic
 /// and the key order must be fixed.
-fn envelope(bin: &str, seed: u64, threads: Option<usize>, payload: &str) -> String {
-    let threads_field = match threads {
-        Some(n) => format!("\n  \"stsl_threads\": {},", n),
-        None => String::new(),
-    };
+fn envelope(bin: &str, seed: u64, payload: &str) -> String {
     // Re-indent the payload so nested objects stay readable.
     let indented = payload.replace('\n', "\n  ");
     format!(
-        "{{\n  \"schema\": \"{}\",\n  \"bin\": \"{}\",\n  \"seed\": {},{}\n  \"data\": {}\n}}\n",
-        RESULTS_SCHEMA, bin, seed, threads_field, indented
+        "{{\n  \"schema\": \"{}\",\n  \"bin\": \"{}\",\n  \"seed\": {},\n  \"data\": {}\n}}\n",
+        RESULTS_SCHEMA, bin, seed, indented
     )
 }
 
@@ -100,22 +92,14 @@ mod tests {
 
     #[test]
     fn envelope_has_schema_header_and_nested_data() {
-        let json = envelope("demo", 7, Some(4), "{\n  \"rows\": [1]\n}");
-        assert!(json.starts_with("{\n  \"schema\": \"stsl-results/v1\","));
-        assert!(json.contains("\"bin\": \"demo\""));
-        assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"stsl_threads\": 4"));
-        assert!(json.contains("\"rows\": [1]"));
+        let json = envelope("demo", 7, "{\n  \"rows\": [1]\n}");
+        assert_eq!(
+            json,
+            "{\n  \"schema\": \"stsl-results/v1\",\n  \"bin\": \"demo\",\n  \
+             \"seed\": 7,\n  \"data\": {\n    \"rows\": [1]\n  }\n}\n"
+        );
         let v = serde_json::parse_value_str(&json).expect("valid json");
         assert_eq!(field(&v, "schema"), &Value::Str(RESULTS_SCHEMA.into()));
-        assert_eq!(field(&v, "stsl_threads"), &Value::U64(4));
-    }
-
-    #[test]
-    fn deterministic_envelope_omits_thread_count() {
-        let json = envelope("demo", 7, None, "{}");
-        assert!(!json.contains("stsl_threads"));
-        let v = serde_json::parse_value_str(&json).expect("valid json");
         assert_eq!(field(&v, "seed"), &Value::U64(7));
     }
 

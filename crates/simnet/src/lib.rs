@@ -8,7 +8,9 @@
 //! a tie-stable event queue, link models (latency distribution + bandwidth
 //! serialization + loss), geographic star topologies with
 //! distance-derived latency, scheduled fault plans, and the one event
-//! recorder every trainer reports through.
+//! recorder every trainer reports through ([`EventLog`]: a counter bank,
+//! an optional trace and optional telemetry, whose journal is a bounded
+//! [`TraceLog`] of the same rows as the trace).
 //!
 //! Everything is deterministic given a seed; two runs produce identical
 //! event orders.
@@ -49,4 +51,4 @@ pub use fault::{corrupt_payload, AttackSpec, FaultEpisode, FaultKind, FaultPlan}
 pub use link::{LatencyModel, Link};
 pub use time::{SimDuration, SimTime};
 pub use topology::{EndSystemId, GeoPoint, StarTopology};
-pub use trace::{EventLog, TraceEvent, TraceLog};
+pub use trace::{EventLog, Telemetry, TraceEvent, TraceLog};

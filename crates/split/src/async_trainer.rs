@@ -57,9 +57,9 @@ use rand::Rng;
 use stsl_data::ImageDataset;
 use stsl_simnet::{
     corrupt_payload, AttackSpec, EndSystemId, EventLog, EventQueue, FaultPlan, SimDuration,
-    SimTime, StarTopology, TraceLog,
+    SimTime, StarTopology, Telemetry, TraceLog,
 };
-use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
+use stsl_telemetry::{EventKind, MetricId};
 use stsl_tensor::init::{derive_seed, rng_from_seed};
 use stsl_tensor::Tensor;
 
@@ -191,7 +191,7 @@ pub struct AsyncSplitTrainer {
     link_rngs: Vec<rand::rngs::StdRng>,
     retry_rng: rand::rngs::StdRng,
     /// Every protocol event goes through here: the counter bank behind
-    /// the report, the optional trace and the optional telemetry hub.
+    /// the report, the optional trace and the optional telemetry.
     log: EventLog,
     // Configuration set by the builders.
     fault_plan: FaultPlan,
@@ -291,8 +291,7 @@ impl AsyncSplitTrainer {
             robust_window_base: 0,
             ring: CheckpointRing::new(1),
             watchdog: HealthWatchdog::new(&GuardConfig::default()),
-            // Per-run state: `reset_run` rebuilds all of it, keeping the
-            // event queue's backing chosen here.
+            // Per-run state: `reset_run` rebuilds all of it.
             events: EventQueue::new(),
             queue: ArrivalQueue::new(policy, n),
             server_busy_until: SimTime::ZERO,
@@ -421,15 +420,15 @@ impl AsyncSplitTrainer {
             every > SimDuration::ZERO,
             "telemetry snapshot interval must be positive"
         );
-        self.log.attach_hub(TelemetryHub::new(journal_capacity));
+        self.log.enable_telemetry(journal_capacity);
         self.telemetry_every = Some(every);
         self
     }
 
-    /// The telemetry hub, if [`AsyncSplitTrainer::with_telemetry`] was
-    /// used.
-    pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.log.hub()
+    /// The telemetry (registry, snapshots and journal), if
+    /// [`AsyncSplitTrainer::with_telemetry`] was used.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.log.telemetry()
     }
 
     /// Enables server-side overload protection (builder style): the
@@ -468,8 +467,9 @@ impl AsyncSplitTrainer {
         &self.membership
     }
 
-    /// Downsampled ingress-queue depth series (one sample per push/pop),
-    /// for offline analysis of overload behavior.
+    /// Ingress-queue depth after each arrival (one sample per push,
+    /// decimated only past 65,536 samples), for offline analysis of
+    /// overload behavior.
     pub fn queue_depth_samples(&self) -> &[usize] {
         self.queue.depth_samples()
     }
@@ -504,7 +504,7 @@ impl AsyncSplitTrainer {
     }
 
     /// The event record: per-kind counts for the current run, plus the
-    /// trace and the telemetry hub when enabled.
+    /// trace and the telemetry when enabled.
     pub fn event_log(&self) -> &EventLog {
         &self.log
     }
@@ -1682,14 +1682,14 @@ mod tests {
         let r = t.run(&test);
         assert!(r.snapshots_emitted > 0);
         assert_eq!(r.journal_dropped, 0);
-        let hub = t.telemetry().expect("telemetry enabled");
-        assert_eq!(hub.snapshots().len() as u64, r.snapshots_emitted);
+        let telemetry = t.telemetry().expect("telemetry enabled");
+        assert_eq!(telemetry.snapshots().len() as u64, r.snapshots_emitted);
         // Both clients uplinked twice; the slow link's latencies dominate.
-        let up0 = hub
+        let up0 = telemetry
             .registry()
             .histogram(stsl_telemetry::MetricId::UplinkLatency, 0)
             .unwrap();
-        let up1 = hub
+        let up1 = telemetry
             .registry()
             .histogram(stsl_telemetry::MetricId::UplinkLatency, 1)
             .unwrap();
@@ -1697,18 +1697,18 @@ mod tests {
         assert_eq!(up1.count(), 2);
         assert!(up1.p50() > up0.p50());
         // Staleness and service time were recorded at apply time.
-        assert!(hub
+        assert!(telemetry
             .registry()
             .histogram(stsl_telemetry::MetricId::GradientStaleness, 0)
             .is_some());
-        let svc = hub
+        let svc = telemetry
             .registry()
             .histogram(stsl_telemetry::MetricId::ServiceTime, 0)
             .unwrap();
         assert_eq!(svc.max(), Some(3_000)); // ComputeModel::default
 
         // The journal saw every protocol milestone.
-        let journal = hub.journal_log();
+        let journal = telemetry.journal();
         assert_eq!(journal.count(EventKind::Arrival), 4);
         assert_eq!(journal.count(EventKind::ServiceStart), 4);
         assert_eq!(journal.count(EventKind::GradientDelivered), 4);
@@ -1744,9 +1744,9 @@ mod tests {
         t.enable_trace();
         let r = t.run(&test);
         assert!(r.journal_dropped > 0, "a 2-slot ring must evict");
-        let hub = t.telemetry().unwrap();
-        assert_eq!(hub.journal_log().evicted(), r.journal_dropped);
-        assert_eq!(hub.journal_log().len(), 2);
+        let telemetry = t.telemetry().unwrap();
+        assert_eq!(telemetry.journal().evicted(), r.journal_dropped);
+        assert_eq!(telemetry.journal().len(), 2);
         assert_eq!(
             t.trace().unwrap().count(EventKind::JournalDrop) as u64,
             r.journal_dropped

@@ -36,8 +36,8 @@ use crate::report::FleetReport;
 use crate::scheduler::{ArrivalJob, ArrivalQueue, SchedulingPolicy, TokenBucket};
 use crate::server::CentralServer;
 use stsl_data::ImageDataset;
-use stsl_simnet::{EndSystemId, EventLog, EventQueue, SimDuration, SimTime};
-use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
+use stsl_simnet::{EndSystemId, EventLog, EventQueue, SimDuration, SimTime, Telemetry};
+use stsl_telemetry::{EventKind, MetricId};
 use stsl_tensor::init::derive_seed;
 
 use crate::model::{CnnArch, CutPoint};
@@ -254,8 +254,8 @@ pub struct FleetTrainer {
     server: CentralServer,
     queue: ArrivalQueue<FleetJob>,
     events: EventQueue<FleetEvent>,
-    /// Cohort steps, departures and snapshots, with the (always
-    /// attached) per-cohort telemetry hub.
+    /// Cohort steps, departures and snapshots, with per-cohort
+    /// telemetry (always on).
     log: EventLog,
     server_busy: bool,
     events_processed: u64,
@@ -308,7 +308,7 @@ impl FleetTrainer {
             .with_capacity(config.queue_capacity);
         let step_credit = vec![0; config.cohorts];
         let mut log = EventLog::new();
-        log.attach_hub(TelemetryHub::new(256));
+        log.enable_telemetry(256);
         Ok(FleetTrainer {
             members,
             replicas,
@@ -356,9 +356,9 @@ impl FleetTrainer {
         (self.members.len() * std::mem::size_of::<FleetMember>()) as u64
     }
 
-    /// The telemetry hub (per-cohort metric actors only).
-    pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.log.hub()
+    /// The telemetry (per-cohort metric actors only).
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.log.telemetry()
     }
 
     /// Runs the simulation to completion and evaluates cohort encoders
@@ -600,12 +600,12 @@ mod tests {
         assert!(report.snapshots_emitted > 0);
         assert_eq!(report.per_cohort_accuracy.len(), 4);
         // Cohort steps are counted but kept out of the journal.
-        let hub = fleet.telemetry().expect("fleet hub");
-        assert_eq!(hub.journal_log().count(EventKind::CohortStep), 0);
-        assert!(hub.journal_log().count(EventKind::SnapshotEmit) > 0);
+        let telemetry = fleet.telemetry().expect("fleet telemetry");
+        assert_eq!(telemetry.journal().count(EventKind::CohortStep), 0);
+        assert!(telemetry.journal().count(EventKind::SnapshotEmit) > 0);
         // Every snapshot samples every cohort's size.
         for c in 0..report.cohorts as u64 {
-            let sizes = hub.registry().histogram(MetricId::CohortSize, c);
+            let sizes = telemetry.registry().histogram(MetricId::CohortSize, c);
             assert!(sizes.is_some_and(|h| h.count() > 0), "cohort {c} size");
         }
     }
@@ -663,7 +663,7 @@ mod tests {
         fleet.run(&test);
         let snap = fleet
             .telemetry()
-            .and_then(|hub| hub.latest_snapshot())
+            .and_then(|telemetry| telemetry.latest_snapshot())
             .expect("snapshots");
         for metric in &snap.metrics {
             for series in &metric.series {

@@ -17,7 +17,7 @@ use stsl_data::ImageDataset;
 use stsl_nn::metrics::RunningMean;
 use stsl_parallel::{par_map_mut, ChunkPolicy};
 use stsl_simnet::{EndSystemId, EventLog, SimTime};
-use stsl_telemetry::{EventKind, TelemetryHub};
+use stsl_telemetry::EventKind;
 use stsl_tensor::init::derive_seed;
 
 /// Error constructing a trainer.
@@ -42,7 +42,8 @@ pub struct SpatioTemporalTrainer {
     guard: Option<GuardConfig>,
     watchdog: HealthWatchdog,
     ring: CheckpointRing,
-    /// Protocol events, stamped with the logical clock (server steps).
+    /// Counts the anomalies and rollbacks the report totals. Nothing
+    /// traces or journals them, so events carry no timestamp.
     log: EventLog,
 }
 
@@ -78,24 +79,9 @@ impl SpatioTemporalTrainer {
         })
     }
 
-    /// Enables the telemetry hub. The synchronous trainer has no simulated
-    /// clock, so journal entries and snapshots are stamped with a logical
-    /// time: the server's global step count. One snapshot is emitted per
-    /// epoch.
-    pub fn enable_telemetry(&mut self, journal_capacity: usize) {
-        self.log.attach_hub(TelemetryHub::new(journal_capacity));
-    }
-
-    /// The telemetry hub, when [`enable_telemetry`](Self::enable_telemetry)
-    /// was called.
-    pub fn telemetry(&self) -> Option<&TelemetryHub> {
-        self.log.hub()
-    }
-
-    /// Records `kind` at the current logical time (server step count).
+    /// Counts one `kind` event for `actor`.
     fn record(&mut self, kind: EventKind, actor: usize) {
-        let at = SimTime::from_micros(self.server.steps());
-        self.log.record(at, kind, EndSystemId(actor));
+        self.log.record(SimTime::ZERO, kind, EndSystemId(actor));
     }
 
     /// Enables the data-plane integrity guard: incoming activations are
@@ -176,7 +162,6 @@ impl SpatioTemporalTrainer {
                 remaining = true;
                 self.comm.uplink_bytes += msg.encoded_len() as u64;
                 self.comm.uplink_messages += 1;
-                self.record(EventKind::ServiceStart, i);
                 let Ok(out) = self.server.process(msg, guard.as_ref()) else {
                     self.record(EventKind::AnomalyRejected, i);
                     abandoned[i] = true;
@@ -343,8 +328,6 @@ impl SpatioTemporalTrainer {
                 let ckpt = self.checkpoint();
                 self.ring.push(ckpt);
             }
-            let at = SimTime::from_micros(self.server.steps());
-            self.log.snapshot(at, EndSystemId(self.clients.len()));
         }
         let per_client_accuracy = self.evaluate_per_client(test);
         let final_accuracy = stsl_tensor::mean_f32(&per_client_accuracy);
@@ -477,31 +460,6 @@ mod tests {
             .participation(1.5)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn telemetry_journals_sync_protocol_with_logical_clock() {
-        let cfg = SplitConfig::tiny(CutPoint(1), 2)
-            .epochs(2)
-            .batch_size(8)
-            .seed(3);
-        let train = data(32);
-        let test = data(16);
-        let mut t = SpatioTemporalTrainer::new(cfg, &train).unwrap();
-        t.enable_telemetry(256);
-        let r = t.train(&test);
-        assert_eq!(r.epochs.len(), 2);
-        let hub = t.telemetry().expect("telemetry enabled");
-        // One snapshot per epoch, stamped with the logical step clock.
-        assert_eq!(hub.snapshots().len(), 2);
-        // 32 samples, 2 clients × 16 samples → 2 batches each × 2 epochs.
-        let journal = hub.journal_log();
-        assert_eq!(journal.count(EventKind::ServiceStart), 8);
-        assert_eq!(journal.count(EventKind::SnapshotEmit), 2);
-        // Logical timestamps are non-decreasing server step counts.
-        let stamps: Vec<u64> = journal.iter().map(|e| e.at_us).collect();
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(stamps.last().copied(), Some(8));
     }
 
     #[test]

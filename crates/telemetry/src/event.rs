@@ -1,13 +1,13 @@
 //! The one event vocabulary of both split trainers, the fleet and the
 //! simulated network.
 //!
-//! Every observable protocol event is an [`EventKind`]. A recorder
+//! Every observable protocol event is an [`EventKind`]. The one recorder
 //! (`stsl_simnet::EventLog`) counts each recorded event in a bank indexed
 //! by [`EventKind::index`], appends it to the trace when tracing is on,
-//! and journals it into a [`crate::TelemetryHub`] when one is attached
-//! and [`EventKind::journaled`] says the kind belongs in the journal.
-//! Report counters are reads of that bank, so a kind cannot be recorded
-//! without also being counted.
+//! and appends it to the telemetry journal when telemetry is on and
+//! [`EventKind::journaled`] says the kind belongs there. Report counters
+//! are reads of that bank, so a kind cannot be recorded without also
+//! being counted.
 //!
 //! Every variant must be recorded somewhere: `tests/async_golden.rs`
 //! checks that its golden runs fire every kind but the fleet-only
@@ -16,8 +16,8 @@
 /// What happened.
 ///
 /// The `Debug` names are the trace CSV's `kind` column and
-/// [`EventKind::as_str`] is the journal's JSONL label, so both exports
-/// stay stable as long as neither is renamed.
+/// [`EventKind::as_str`] is the journal's `kind` label in the telemetry
+/// export, so both exports stay stable as long as neither is renamed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// An activation message reached the server's arrival queue.
@@ -143,7 +143,7 @@ impl EventKind {
         )
     }
 
-    /// Stable snake_case label used in JSONL export.
+    /// Stable snake_case label of a journal row in the telemetry export.
     pub fn as_str(self) -> &'static str {
         match self {
             EventKind::Arrival => "arrival",

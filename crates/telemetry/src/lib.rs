@@ -10,14 +10,16 @@
 //!   layout, exact (associative, commutative, bitwise-deterministic) merge
 //!   and p50/p90/p99/max readouts;
 //! * [`EventKind`] — the one event vocabulary every trainer records, with
-//!   its stable JSONL labels and the counter-bank layout;
-//! * [`EventJournal`] — a typed, bounded ring buffer of sim-time-stamped
-//!   events with JSONL export;
+//!   its stable journal labels and the counter-bank layout;
 //! * [`MetricRegistry`] / [`Snapshot`] — per-metric, per-end-system
 //!   histogram series keyed by `BTreeMap` (deterministic iteration) with
-//!   periodic snapshot emission;
-//! * [`TelemetryHub`] — the single handle instrumentation sites talk to;
-//! * [`render_dashboard`] — a plain-text dashboard of the latest snapshot.
+//!   snapshot emission;
+//! * [`render_dashboard`] — a plain-text dashboard of one snapshot.
+//!
+//! The recorder that owns a registry, its snapshots and the bounded event
+//! journal is `stsl_simnet::EventLog`: instrumentation sites call its
+//! `record`, `observe` and `snapshot`, and the journal is a
+//! `stsl_simnet::TraceLog`, the ring type of the event trace.
 //!
 //! # Determinism rules
 //!
@@ -31,16 +33,14 @@
 //! # Examples
 //!
 //! ```
-//! use stsl_telemetry::{EventKind, MetricId, TelemetryHub};
+//! use stsl_telemetry::{render_dashboard, MetricId, MetricRegistry};
 //!
-//! let mut hub = TelemetryHub::new(64);
-//! hub.record(MetricId::UplinkLatency, 0, 5_000);
-//! hub.record(MetricId::UplinkLatency, 0, 7_000);
-//! hub.journal(1_000, EventKind::Arrival, 0);
-//! let seq = hub.emit_snapshot(10_000);
-//! assert_eq!(seq, 0);
-//! let snap = hub.latest_snapshot().unwrap();
+//! let mut registry = MetricRegistry::new();
+//! registry.record(MetricId::UplinkLatency, 0, 5_000);
+//! registry.record(MetricId::UplinkLatency, 0, 7_000);
+//! let snap = registry.snapshot(10_000, 0);
 //! assert_eq!(snap.metrics.len(), MetricId::ALL.len());
+//! assert!(render_dashboard(&snap).contains("uplink_latency_us"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,13 +49,9 @@
 mod dashboard;
 mod event;
 mod histogram;
-mod hub;
-mod journal;
 mod registry;
 
 pub use dashboard::render_dashboard;
 pub use event::EventKind;
 pub use histogram::{bucket_index, bucket_lower, Histogram, BUCKETS, SUB_BITS};
-pub use hub::TelemetryHub;
-pub use journal::{EventJournal, JournalEvent};
 pub use registry::{ActorSeries, MetricId, MetricRegistry, MetricSnapshot, Snapshot};

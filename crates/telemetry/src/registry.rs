@@ -191,17 +191,6 @@ impl MetricRegistry {
         self.series.get(&metric).and_then(|m| m.get(&actor))
     }
 
-    /// Merge every `(metric, actor)` histogram of `other` into this
-    /// registry (element-wise, order-independent).
-    pub fn merge(&mut self, other: &MetricRegistry) {
-        for (metric, actors) in &other.series {
-            let mine = self.series.entry(*metric).or_default();
-            for (actor, hist) in actors {
-                mine.entry(*actor).or_default().merge(hist);
-            }
-        }
-    }
-
     /// Emit a snapshot of **every** metric in [`MetricId::ALL`] —
     /// registered-but-silent metrics appear with an empty series rather
     /// than disappearing.
@@ -291,21 +280,6 @@ mod tests {
         for id in MetricId::ALL {
             assert!(json.contains(id.as_str()), "{} missing", id.as_str());
         }
-    }
-
-    #[test]
-    fn merge_combines_registries() {
-        let mut a = MetricRegistry::new();
-        let mut b = MetricRegistry::new();
-        a.record(MetricId::ServiceTime, 0, 10);
-        b.record(MetricId::ServiceTime, 0, 20);
-        b.record(MetricId::GradientStaleness, 3, 7);
-        a.merge(&b);
-        assert_eq!(a.histogram(MetricId::ServiceTime, 0).unwrap().count(), 2);
-        assert_eq!(
-            a.histogram(MetricId::GradientStaleness, 3).unwrap().count(),
-            1
-        );
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! * [`nn`] — layers, losses, optimizers, [`nn::Sequential`]
 //! * [`data`] — CIFAR-10 reader, synthetic generator, partitioning
 //! * [`parallel`] — deterministic scoped thread pool (`STSL_THREADS`)
-//! * [`simnet`] — deterministic discrete-event network simulator
+//! * [`simnet`] — deterministic discrete-event network simulator, and
+//!   the one event recorder (`EventLog`) that owns the trace and the
+//!   telemetry
 //! * [`split`] — the paper's contribution: multi-end-system split
 //!   learning with a centralized server, schedulers and baselines
 //! * [`privacy`] — Fig. 4 visualization, inversion attacks, leakage
 //!   metrics
-//! * [`telemetry`] — deterministic observability: histograms, event
-//!   journal, snapshot export and the plain-text dashboard
+//! * [`telemetry`] — deterministic observability: the event vocabulary,
+//!   histograms, the metric registry with snapshot export and the
+//!   plain-text dashboard
 //!
 //! See `examples/quickstart.rs` for a complete training run and
 //! DESIGN.md for the experiment index.
@@ -75,12 +78,20 @@ mod tests {
 
     #[test]
     fn telemetry_hub_reachable() {
-        let mut hub = telemetry::TelemetryHub::new(8);
-        hub.record(telemetry::MetricId::UplinkLatency, 0, 1_500);
-        hub.journal(10, telemetry::EventKind::Arrival, 0);
-        let seq = hub.emit_snapshot(20);
-        assert_eq!(seq, 0);
-        let snap = hub.latest_snapshot().expect("snapshot emitted");
+        let mut log = simnet::EventLog::new();
+        log.enable_telemetry(8);
+        let actor = simnet::EndSystemId(0);
+        log.observe(telemetry::MetricId::UplinkLatency, actor, 1_500);
+        log.record(
+            simnet::SimTime::from_micros(10),
+            telemetry::EventKind::Arrival,
+            actor,
+        );
+        log.snapshot(simnet::SimTime::from_micros(20), actor);
+        let recorded = log.telemetry().expect("telemetry enabled");
+        assert_eq!(recorded.journal().len(), 2);
+        let snap = recorded.latest_snapshot().expect("snapshot emitted");
+        assert_eq!(snap.seq, 0);
         assert!(telemetry::render_dashboard(snap).contains("uplink_latency_us"));
     }
 }

@@ -196,8 +196,8 @@ fn quarantine_journaling_is_counted_and_traced() {
         r.journal_dropped,
         "every eviction is traced"
     );
-    let hub = t.telemetry().unwrap();
-    assert_eq!(hub.journal_log().evicted(), r.journal_dropped);
+    let telemetry = t.telemetry().unwrap();
+    assert_eq!(telemetry.journal().evicted(), r.journal_dropped);
     // Each quarantine transition reached the 1-slot journal, so its
     // eviction row follows it at the same instant.
     let events = trace.events();
@@ -218,7 +218,7 @@ fn quarantine_journaling_is_counted_and_traced() {
     poison_client_zero(&mut roomy);
     let r = roomy.run(&test);
     assert_eq!(r.journal_dropped, 0);
-    let journal = roomy.telemetry().unwrap().journal_log();
+    let journal = roomy.telemetry().unwrap().journal();
     assert_eq!(journal.count(EventKind::Quarantine) as u64, r.quarantines);
     assert_eq!(
         journal.count(EventKind::QuarantineDrop) as u64,
