@@ -43,7 +43,7 @@ pub fn check_param_gradients(
     net.zero_grads();
     let logits = net.forward(input, Mode::Train);
     let out = loss.forward(&logits, targets);
-    net.backward(&out.grad);
+    net.backward_params(&out.grad);
 
     // Collect flat copies of params and grads.
     let mut param_snapshot: Vec<Tensor> = Vec::new();

@@ -35,7 +35,8 @@ pub struct ParamView<'a> {
 ///    whatever intermediate state `backward` will need;
 /// 2. `backward(dout)` consumes that cache, **accumulates** parameter
 ///    gradients (`+=`, so gradient accumulation across micro-batches works)
-///    and returns the gradient w.r.t. the layer input;
+///    and returns the gradient w.r.t. the layer input (`backward_params`
+///    does the same without forming that gradient);
 /// 3. `zero_grads` resets the accumulators between optimizer steps.
 ///
 /// Layers are deliberately object-safe so a network is just
@@ -63,6 +64,21 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Panics if no training-mode forward preceded this call or shapes
     /// mismatch.
     fn backward(&mut self, dout: &Tensor) -> Tensor;
+
+    /// Backpropagates `dout` like [`Layer::backward`], accumulating the
+    /// same parameter gradients, but without returning the input
+    /// gradient. Callers use it where that gradient would be dropped — a
+    /// model's first layer — so a layer whose input gradient costs real
+    /// work (a convolution's column GEMM and fold) can skip it.
+    ///
+    /// The default runs `backward` and drops the result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, dout: &Tensor) {
+        self.backward(dout);
+    }
 
     /// Visits every (parameter, gradient) pair, in a stable order.
     ///

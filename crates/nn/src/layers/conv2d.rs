@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Mode, ParamView};
 use stsl_tensor::init::rng_from_seed;
-use stsl_tensor::ops::conv::{conv2d_backward, conv2d_forward, ConvSpec};
+use stsl_tensor::ops::conv::{conv2d_backward, conv2d_forward, ConvSpec, ConvWorkspace};
 use stsl_tensor::Tensor;
 
 /// A 2-D convolution with bias, He-initialized, `NCHW` activations.
@@ -28,13 +28,9 @@ pub struct Conv2d {
     spec: ConvSpec,
     in_channels: usize,
     out_channels: usize,
-    cache: Option<Cache>,
-}
-
-#[derive(Debug)]
-struct Cache {
-    cols: Tensor,
-    input_dims: (usize, usize, usize, usize),
+    /// The columns a training forward keeps for its backward, and the
+    /// scratch both reuse from step to step.
+    ws: ConvWorkspace,
 }
 
 impl Conv2d {
@@ -62,7 +58,7 @@ impl Conv2d {
             spec,
             in_channels,
             out_channels,
-            cache: None,
+            ws: ConvWorkspace::new(),
         }
     }
 
@@ -98,26 +94,42 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let fwd = conv2d_forward(input, &self.weight, &self.bias, self.spec)
-            .expect("conv2d forward shape mismatch");
-        if mode == Mode::Train {
-            self.cache = Some(Cache {
-                cols: fwd.cols,
-                input_dims: (input.dim(0), input.dim(1), input.dim(2), input.dim(3)),
-            });
-        }
-        fwd.output
+        let train = mode == Mode::Train;
+        conv2d_forward(
+            input,
+            &self.weight,
+            &self.bias,
+            self.spec,
+            train,
+            &mut self.ws,
+        )
+        .expect("conv2d forward shape mismatch")
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("conv2d backward without cached forward");
-        let grads = conv2d_backward(dout, &cache.cols, &self.weight, cache.input_dims, self.spec);
-        self.dweight.axpy(1.0, &grads.dweight);
-        self.dbias.axpy(1.0, &grads.dbias);
-        grads.dinput
+        conv2d_backward(
+            dout,
+            &self.weight,
+            self.spec,
+            &mut self.ws,
+            &mut self.dweight,
+            &mut self.dbias,
+            true,
+        )
+        .expect("input gradient requested")
+    }
+
+    /// Accumulates dW and db and skips the input gradient's GEMM and fold.
+    fn backward_params(&mut self, dout: &Tensor) {
+        conv2d_backward(
+            dout,
+            &self.weight,
+            self.spec,
+            &mut self.ws,
+            &mut self.dweight,
+            &mut self.dbias,
+            false,
+        );
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamView<'_>)) {
@@ -160,7 +172,7 @@ mod tests {
     fn eval_mode_does_not_cache() {
         let mut conv = Conv2d::new(1, 1, 3, 0);
         conv.forward(&Tensor::zeros([1, 1, 4, 4]), Mode::Eval);
-        assert!(conv.cache.is_none());
+        assert!(!conv.ws.holds_forward());
     }
 
     #[test]

@@ -54,6 +54,23 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
+
+    /// Consumes the forward cache and accumulates dW and db for `dout`.
+    fn param_grads(&mut self, dout: &Tensor) {
+        let input = self
+            .cache
+            .take()
+            .expect("dense backward without cached forward");
+        assert_eq!(
+            dout.dims(),
+            &[input.dim(0), self.out_features],
+            "dense dout shape"
+        );
+        // dW = doutᵀ · x  -> [out, in]
+        self.dweight.axpy(1.0, &dout.t_matmul(&input));
+        // db = column sums of dout.
+        self.dbias.axpy(1.0, &dout.sum_axis(0));
+    }
 }
 
 impl Layer for Dense {
@@ -96,21 +113,14 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let input = self
-            .cache
-            .take()
-            .expect("dense backward without cached forward");
-        assert_eq!(
-            dout.dims(),
-            &[input.dim(0), self.out_features],
-            "dense dout shape"
-        );
-        // dW = doutᵀ · x  -> [out, in]
-        self.dweight.axpy(1.0, &dout.t_matmul(&input));
-        // db = column sums of dout.
-        self.dbias.axpy(1.0, &dout.sum_axis(0));
+        self.param_grads(dout);
         // dx = dout · W -> [n, in]
         dout.matmul(&self.weight)
+    }
+
+    /// Accumulates dW and db and skips the input gradient's GEMM.
+    fn backward_params(&mut self, dout: &Tensor) {
+        self.param_grads(dout);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamView<'_>)) {

@@ -64,10 +64,16 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Runs the network forward. An empty network is the identity.
+    /// Runs the network forward. An empty network is the identity (and
+    /// returns a copy of `input`); otherwise the first layer reads `input`
+    /// in place.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, mode);
+        for layer in layers {
             x = layer.forward(&x, mode);
         }
         x
@@ -78,11 +84,10 @@ impl Sequential {
     /// result). Used by the privacy experiments to capture what an
     /// eavesdropper sees after each stage (paper Fig. 4).
     pub fn forward_collect(&mut self, input: &Tensor, mode: Mode) -> Vec<Tensor> {
-        let mut outputs = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
+        let mut outputs: Vec<Tensor> = Vec::with_capacity(self.layers.len());
         for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-            outputs.push(x.clone());
+            let x = layer.forward(outputs.last().unwrap_or(input), mode);
+            outputs.push(x);
         }
         outputs
     }
@@ -96,11 +101,35 @@ impl Sequential {
     ///
     /// Panics if no training-mode forward preceded this call.
     pub fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut g = dout.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return dout.clone();
+        };
+        let mut g = last.backward(dout);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g
+    }
+
+    /// [`Sequential::backward`] for a caller that drops the input
+    /// gradient (an end-system's encoder, a whole model in training): the
+    /// same parameter gradients, with the first layer run through
+    /// [`Layer::backward_params`] so it can skip forming its input
+    /// gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training-mode forward preceded this call.
+    pub fn backward_params(&mut self, dout: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(dout)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(dout));
     }
 
     /// Clears all gradient accumulators.
@@ -142,7 +171,7 @@ impl Sequential {
         self.zero_grads();
         let logits = self.forward(input, Mode::Train);
         let out = loss.forward(&logits, targets);
-        self.backward(&out.grad);
+        self.backward_params(&out.grad);
         self.step(opt);
         out.value
     }

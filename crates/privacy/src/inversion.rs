@@ -79,7 +79,7 @@ impl InversionAttack {
                 decoder.zero_grads();
                 let recon = decoder.forward(&codes, Mode::Train);
                 let out = loss.dense(&recon, &flat_targets);
-                decoder.backward(&out.grad);
+                decoder.backward_params(&out.grad);
                 let mut param_id = 0usize;
                 decoder.visit_params(&mut |p| {
                     opt.update(param_id, p.value, p.grad);

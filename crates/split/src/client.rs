@@ -254,7 +254,8 @@ impl EndSystem {
             return Ok(()); // cut 0: nothing to train locally
         }
         self.model.zero_grads();
-        self.model.backward(&msg.grad);
+        // Nothing reads the gradient w.r.t. the raw images.
+        self.model.backward_params(&msg.grad);
         // Parameter-id base offset: unique per end-system so shared
         // optimizer state could never collide (each client has its own
         // optimizer anyway; the offset is defense in depth).

@@ -151,7 +151,7 @@ impl UShapedTrainer {
                 // Leg 5: cut gradient downlink, lower backward.
                 self.comm.downlink_bytes += tensor_frame_len(&dsmashed) as u64;
                 self.comm.downlink_messages += 1;
-                client.lower.backward(&dsmashed);
+                client.lower.backward_params(&dsmashed);
                 // Updates.
                 client
                     .head

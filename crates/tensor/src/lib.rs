@@ -11,7 +11,7 @@
 //! # Examples
 //!
 //! ```
-//! use stsl_tensor::{Tensor, ops::conv::{conv2d_forward, ConvSpec}};
+//! use stsl_tensor::{Tensor, ops::conv::{conv2d_forward, ConvSpec, ConvWorkspace}};
 //! use stsl_tensor::init::rng_from_seed;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,8 +19,9 @@
 //! let image = Tensor::randn([1, 3, 32, 32], &mut rng);     // NCHW
 //! let kernel = Tensor::he_normal([16, 3, 3, 3], 27, &mut rng);
 //! let bias = Tensor::zeros([16]);
-//! let out = conv2d_forward(&image, &kernel, &bias, ConvSpec::same(3))?;
-//! assert_eq!(out.output.dims(), &[1, 16, 32, 32]);
+//! let mut ws = ConvWorkspace::new();
+//! let out = conv2d_forward(&image, &kernel, &bias, ConvSpec::same(3), false, &mut ws)?;
+//! assert_eq!(out.dims(), &[1, 16, 32, 32]);
 //! # Ok(())
 //! # }
 //! ```

@@ -1,12 +1,14 @@
 //! Cache-blocked packed GEMM microkernels — the [`Backend::Blocked`]
-//! implementation of the matmul family.
+//! implementation of the matmul family and of the convolution's GEMMs.
 //!
 //! The layout follows the classic BLIS/GotoBLAS decomposition, reduced to
 //! what safe Rust auto-vectorizes well:
 //!
-//! * `B` is packed once per call into `NR`-wide column strips, k-major
-//!   inside each strip, zero-padded on the ragged edge. Each microkernel
-//!   iteration then reads one contiguous `NR`-float row.
+//! * `B` is packed into `NR`-wide column strips, k-major inside each
+//!   strip, zero-padded on the ragged edge. Each microkernel iteration
+//!   then reads one contiguous `NR`-float row. [`gemm_core`] packs all of
+//!   `B` once per call; [`gemm_block`] packs one `KC`-deep panel at a time
+//!   into caller-owned scratch.
 //! * `A` is packed per `MC×KC` block into `MR`-tall row strips, k-major,
 //!   so the microkernel reads one contiguous `MR`-float column per step.
 //! * The microkernel keeps an `MR×NR` accumulator array in registers and
@@ -18,9 +20,11 @@
 //! Work is partitioned over **microtile-aligned bands** of output rows
 //! ([`stsl_parallel::ChunkPolicy::tiles`]), and each output element
 //! accumulates its `k` terms in ascending order within each `KC` panel,
-//! with panels applied in ascending order — a fixed association that does
-//! not depend on where band or block boundaries fall. Results are
-//! therefore bitwise identical for every `STSL_THREADS` value.
+//! with panels starting at multiples of `KC` and applied in ascending
+//! order — a fixed association that does not depend on where band,
+//! block or column boundaries fall, or on whether `B` was packed whole or
+//! panel by panel. Results are therefore bitwise identical for every
+//! `STSL_THREADS` value.
 //!
 //! Relative to the scalar reference backend the association *does*
 //! differ (panel partial sums are accumulated in registers before being
@@ -43,65 +47,117 @@ const MC: usize = 64;
 const PAR_GRAIN: usize = 1 << 14;
 
 /// How one logical GEMM operand is stored.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Layout {
     /// Row-major as written: logical `(r, c)` at `data[r * cols + c]`.
     Normal,
     /// Transposed storage: logical `(r, c)` at `data[c * rows + r]`.
     Trans,
+    /// Columns grouped by sample: a logical `[rows, s·hw]` matrix held as
+    /// `s` row-major `[rows, hw]` matrices back to back, the way an NCHW
+    /// tensor holds `[channels, n·h·w]`. Logical `(r, c)` is at
+    /// `data[(c / hw)·rows·hw + r·hw + c % hw]`.
+    Samples(usize),
+    /// The transpose of a [`Layout::Samples`] store: logical `(r, c)` is
+    /// element `(c, r)` of a `[cols, s·hw]` `Samples` matrix, at
+    /// `data[(r / hw)·cols·hw + c·hw + r % hw]`.
+    SamplesT(usize),
 }
 
-/// Reads logical `A[i, kk]` for an `m×k` logical matrix.
-#[inline]
-fn a_at(a: &[f32], layout: Layout, i: usize, kk: usize, m: usize, k: usize) -> f32 {
-    match layout {
-        Layout::Normal => a[i * k + kk],
-        Layout::Trans => {
-            let _ = m;
-            a[kk * m + i]
+impl Layout {
+    /// Storage index of logical `(r, c)` in a `rows × cols` operand.
+    #[inline]
+    pub(crate) fn index(self, rows: usize, cols: usize, r: usize, c: usize) -> usize {
+        match self {
+            Layout::Normal => r * cols + c,
+            Layout::Trans => c * rows + r,
+            Layout::Samples(hw) => (c / hw) * rows * hw + r * hw + c % hw,
+            Layout::SamplesT(hw) => (r / hw) * cols * hw + c * hw + r % hw,
         }
     }
 }
 
-/// Packs all of `B` into `NR`-wide strips, k-major within each strip,
-/// zero-padded to a whole strip on the right edge. Strip `js` occupies
-/// `bpack[js * k * NR ..][.. k * NR]`; row `kk` of that strip is the
-/// contiguous `NR` floats `B[kk, js*NR .. js*NR+NR]`.
-///
-/// Pure indexed writes, so the strip-parallel fill is partition-invariant.
-fn pack_b(b: &[f32], layout: Layout, k: usize, n: usize) -> Vec<f32> {
-    let strips = n.div_ceil(NR);
-    let mut bpack = vec![0.0f32; strips * k * NR];
-    if bpack.is_empty() {
-        return bpack;
-    }
-    let strip_len = k * NR;
-    let policy = ChunkPolicy::min_chunk((PAR_GRAIN / strip_len.max(1)).max(1));
-    par_chunks_mut(&mut bpack, strip_len, policy, |js0, band| {
-        for (si, strip) in band.chunks_mut(strip_len).enumerate() {
-            let j0 = (js0 + si) * NR;
-            let width = NR.min(n - j0);
-            match layout {
-                Layout::Normal => {
-                    for kk in 0..k {
-                        let src = &b[kk * n + j0..kk * n + j0 + width];
-                        strip[kk * NR..kk * NR + width].copy_from_slice(src);
-                    }
+/// Splits positions `start..start + len` of a sample-major axis (`hw`
+/// positions per sample) into runs that stay inside one sample. Yields
+/// `(offset from start, sample, position in sample, run length)`.
+fn sample_runs(
+    start: usize,
+    len: usize,
+    hw: usize,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut off = 0;
+    std::iter::from_fn(move || {
+        if off >= len {
+            return None;
+        }
+        let pos = start + off;
+        let (s, p) = (pos / hw, pos % hw);
+        let run = (hw - p).min(len - off);
+        let item = (off, s, p, run);
+        off += run;
+        Some(item)
+    })
+}
+
+/// Packs k-panel `k0..k0+kc` of columns `js·NR..` of logical `B` (`k×n`)
+/// into one `NR`-wide strip, k-major: `strip[kk·NR + jj]` is
+/// `B[k0 + kk, js·NR + jj]`. Lanes past column `n` are zeroed, so a
+/// reused buffer never carries stale values into a ragged strip.
+#[allow(clippy::too_many_arguments)] // BLAS-style shape/offset scalars
+fn pack_b_strip(
+    strip: &mut [f32],
+    b: &[f32],
+    layout: Layout,
+    k: usize,
+    n: usize,
+    js: usize,
+    k0: usize,
+    kc: usize,
+) {
+    let j0 = js * NR;
+    let width = NR.min(n - j0);
+    match layout {
+        Layout::Normal => {
+            for kk in 0..kc {
+                let src = &b[(k0 + kk) * n + j0..][..width];
+                strip[kk * NR..kk * NR + width].copy_from_slice(src);
+            }
+        }
+        Layout::Trans => {
+            // b is n×k; strip lane jj is column j0+jj, i.e. row j0+jj of
+            // the stored matrix, walked along k.
+            for jj in 0..width {
+                let src = &b[(j0 + jj) * k + k0..][..kc];
+                for (kk, &v) in src.iter().enumerate() {
+                    strip[kk * NR + jj] = v;
                 }
-                Layout::Trans => {
-                    // b is n×k; strip lane jj is column j0+jj, i.e. row
-                    // j0+jj of the stored matrix, walked along k.
-                    for jj in 0..width {
-                        let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                        for (kk, &v) in src.iter().enumerate() {
-                            strip[kk * NR + jj] = v;
-                        }
+            }
+        }
+        Layout::Samples(hw) => {
+            for (jj, s, p, len) in sample_runs(j0, width, hw) {
+                let base = s * k * hw + p;
+                for kk in 0..kc {
+                    let src = &b[base + (k0 + kk) * hw..][..len];
+                    strip[kk * NR + jj..][..len].copy_from_slice(src);
+                }
+            }
+        }
+        Layout::SamplesT(hw) => {
+            for (kk0, s, p, len) in sample_runs(k0, kc, hw) {
+                for jj in 0..width {
+                    let src = &b[s * n * hw + (j0 + jj) * hw + p..][..len];
+                    for (t, &v) in src.iter().enumerate() {
+                        strip[(kk0 + t) * NR + jj] = v;
                     }
                 }
             }
         }
-    });
-    bpack
+    }
+    if width < NR {
+        for row in strip.chunks_exact_mut(NR).take(kc) {
+            row[width..].fill(0.0);
+        }
+    }
 }
 
 /// Packs rows `i0..i0+rows` × columns `k0..k0+kc` of logical `A` into
@@ -110,7 +166,7 @@ fn pack_b(b: &[f32], layout: Layout, k: usize, n: usize) -> Vec<f32> {
 /// contiguous `MR` floats `A[rows of strip, k0+kk]`.
 #[allow(clippy::too_many_arguments)] // BLAS-style shape/offset scalars
 fn pack_a(
-    apack: &mut Vec<f32>,
+    apack: &mut [f32],
     a: &[f32],
     layout: Layout,
     m: usize,
@@ -120,16 +176,46 @@ fn pack_a(
     k0: usize,
     kc: usize,
 ) {
-    let strips = rows.div_ceil(MR);
-    apack.clear();
-    apack.resize(strips * kc * MR, 0.0);
-    for is in 0..strips {
+    let strips = apack.chunks_exact_mut(kc * MR).take(rows.div_ceil(MR));
+    for (is, strip) in strips.enumerate() {
         let r0 = i0 + is * MR;
         let height = MR.min(i0 + rows - r0);
-        let strip = &mut apack[is * kc * MR..(is + 1) * kc * MR];
-        for kk in 0..kc {
-            for r in 0..height {
-                strip[kk * MR + r] = a_at(a, layout, r0 + r, k0 + kk, m, k);
+        match layout {
+            Layout::Normal => {
+                for r in 0..height {
+                    let src = &a[(r0 + r) * k + k0..][..kc];
+                    for (kk, &v) in src.iter().enumerate() {
+                        strip[kk * MR + r] = v;
+                    }
+                }
+            }
+            Layout::Trans => {
+                for kk in 0..kc {
+                    let src = &a[(k0 + kk) * m + r0..][..height];
+                    strip[kk * MR..kk * MR + height].copy_from_slice(src);
+                }
+            }
+            Layout::Samples(hw) => {
+                for (kk0, s, p, len) in sample_runs(k0, kc, hw) {
+                    for r in 0..height {
+                        let src = &a[s * m * hw + (r0 + r) * hw + p..][..len];
+                        for (t, &v) in src.iter().enumerate() {
+                            strip[(kk0 + t) * MR + r] = v;
+                        }
+                    }
+                }
+            }
+            Layout::SamplesT(_) => {
+                for r in 0..height {
+                    for kk in 0..kc {
+                        strip[kk * MR + r] = a[layout.index(m, k, r0 + r, k0 + kk)];
+                    }
+                }
+            }
+        }
+        if height < MR {
+            for col in strip.chunks_exact_mut(MR) {
+                col[height..].fill(0.0);
             }
         }
     }
@@ -196,6 +282,46 @@ fn microkernel_edge(
     }
 }
 
+/// Runs every microtile of one packed `A` block against one k-panel of
+/// packed `B`. `apack` holds the block's `rows` rows as `MR`-strips of
+/// `kc·MR` floats; strip `js` of the panel is
+/// `bpack[js·bstride..][..kc·NR]`; `c` starts at the block's first row
+/// and has `n` columns.
+#[allow(clippy::too_many_arguments)] // BLAS-style shape/offset scalars
+fn macro_kernel(
+    apack: &[f32],
+    bpack: &[f32],
+    bstride: usize,
+    kc: usize,
+    c: &mut [f32],
+    rows: usize,
+    n: usize,
+    alpha: f32,
+) {
+    for js in 0..n.div_ceil(NR) {
+        let bp = &bpack[js * bstride..][..kc * NR];
+        let j0 = js * NR;
+        let nr_eff = NR.min(n - j0);
+        let astrips = apack.chunks_exact(kc * MR).take(rows.div_ceil(MR));
+        for (is, ap) in astrips.enumerate() {
+            let ir = is * MR;
+            let mr_eff = MR.min(rows - ir);
+            let ctile = &mut c[ir * n + j0..];
+            if mr_eff == MR && nr_eff == NR {
+                microkernel(ap, bp, kc, ctile, n, alpha);
+            } else {
+                microkernel_edge(ap, bp, kc, ctile, n, mr_eff, nr_eff, alpha);
+            }
+        }
+    }
+}
+
+/// Floats of packed `A` one `MC`-row block of an operand with `rows` rows
+/// and `k` columns needs.
+fn apack_len(rows: usize, k: usize) -> usize {
+    MC.min(rows).next_multiple_of(MR) * KC.min(k)
+}
+
 /// `C += alpha * A · B` with packed blocked microkernels; `C` is `m×n`
 /// row-major, logical `A` is `m×k`, logical `B` is `k×n` (storage per
 /// `Layout`).
@@ -217,38 +343,79 @@ pub(crate) fn gemm_core(
         // as the reference loops simply not executing.
         return;
     }
-    let bpack = pack_b(b, b_layout, k, n);
-    let strips = n.div_ceil(NR);
+    // All of B, one strip of `k·NR` floats per NR columns; the k-panel
+    // `k0..` of strip `js` is then `bpack[js·k·NR + k0·NR..]`. Pure
+    // indexed writes, so the strip-parallel fill is partition-invariant.
+    let strip_len = k * NR;
+    let mut bpack = vec![0.0f32; n.div_ceil(NR) * strip_len];
+    let fill = ChunkPolicy::min_chunk((PAR_GRAIN / strip_len).max(1));
+    par_chunks_mut(&mut bpack, strip_len, fill, |js0, band| {
+        for (si, strip) in band.chunks_exact_mut(strip_len).enumerate() {
+            pack_b_strip(strip, b, b_layout, k, n, js0 + si, 0, k);
+        }
+    });
     // One band per thread, boundaries on microtile edges so no MR-tile is
     // split across threads; the work grain matches the reference path.
     let min_rows = (PAR_GRAIN / (k * n)).max(1);
     let policy = ChunkPolicy::tiles(min_rows.max(MR), MR);
     par_chunks_mut(c, n, policy, |row0, band| {
         let rows = band.len() / n;
-        let mut apack = Vec::new();
+        let mut apack = vec![0.0f32; apack_len(rows, k)];
         for ic in (0..rows).step_by(MC) {
             let ic_len = MC.min(rows - ic);
             for k0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - k0);
                 pack_a(&mut apack, a, a_layout, m, k, row0 + ic, ic_len, k0, kc);
-                for js in 0..strips {
-                    let bp = &bpack[js * k * NR + k0 * NR..][..kc * NR];
-                    let j0 = js * NR;
-                    let nr_eff = NR.min(n - j0);
-                    for (is, ap) in apack.chunks_exact(kc * MR).enumerate() {
-                        let ir = ic + is * MR;
-                        let mr_eff = MR.min(rows - ir).min(ic_len - is * MR);
-                        let ctile = &mut band[ir * n + j0..];
-                        if mr_eff == MR && nr_eff == NR {
-                            microkernel(ap, bp, kc, ctile, n, alpha);
-                        } else {
-                            microkernel_edge(ap, bp, kc, ctile, n, mr_eff, nr_eff, alpha);
-                        }
-                    }
-                }
+                let panel = &bpack[k0 * NR..];
+                let cblock = &mut band[ic * n..];
+                macro_kernel(&apack, panel, strip_len, kc, cblock, ic_len, n, alpha);
             }
         }
     });
+}
+
+/// Scratch floats [`gemm_block`] needs for `rows` output rows of a
+/// product with inner dimension `k` and `n` columns.
+pub(crate) fn gemm_block_scratch(rows: usize, k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * KC.min(k) + apack_len(rows, k)
+}
+
+/// Serial `C += A · B` for rows `i0..i0 + rows` of the logical product:
+/// `c` holds just those rows (`n` columns each). `B` is packed one
+/// `KC`-deep panel at a time into `scratch` (at least
+/// [`gemm_block_scratch`] floats, contents irrelevant) instead of whole,
+/// so no buffer grows with `k`. Each element gets the association
+/// [`gemm_core`] gives it with `alpha = 1`.
+#[allow(clippy::too_many_arguments)] // BLAS-style shape/offset scalars
+pub(crate) fn gemm_block(
+    a: &[f32],
+    a_layout: Layout,
+    b: &[f32],
+    b_layout: Layout,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    i0: usize,
+    scratch: &mut [f32],
+) {
+    if c.is_empty() || n == 0 || k == 0 {
+        return;
+    }
+    let rows = c.len() / n;
+    let strips = n.div_ceil(NR);
+    let (bpack, apack) = scratch.split_at_mut(strips * NR * KC.min(k));
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        for (js, strip) in bpack.chunks_exact_mut(kc * NR).take(strips).enumerate() {
+            pack_b_strip(strip, b, b_layout, k, n, js, k0, kc);
+        }
+        for ic in (0..rows).step_by(MC) {
+            let ic_len = MC.min(rows - ic);
+            pack_a(apack, a, a_layout, m, k, i0 + ic, ic_len, k0, kc);
+            macro_kernel(apack, bpack, kc * NR, kc, &mut c[ic * n..], ic_len, n, 1.0);
+        }
+    }
 }
 
 /// Blocked `C += alpha * A · B` (row-major `m×k` times `k×n`).

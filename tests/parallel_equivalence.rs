@@ -29,7 +29,7 @@ use spatio_temporal_split_learning::split::{
 };
 use spatio_temporal_split_learning::tensor::init::rng_from_seed;
 use spatio_temporal_split_learning::tensor::ops::conv::{
-    conv2d_backward, conv2d_forward, ConvSpec,
+    conv2d_backward, conv2d_forward, ConvSpec, ConvWorkspace,
 };
 use spatio_temporal_split_learning::tensor::ops::matmul::{gemm, gemm_a_bt, gemm_at_b};
 use spatio_temporal_split_learning::tensor::{with_backend, Backend, Tensor};
@@ -95,15 +95,13 @@ fn conv_pipeline_bitwise_identical() {
     let dout = Tensor::randn([4, 5, 9, 9], &mut rng);
 
     assert_equal_across_threads("conv2d fwd+bwd", || {
-        let fwd = conv2d_forward(&x, &w, &bias, spec).unwrap();
-        let grads = conv2d_backward(&dout, &fwd.cols, &w, (4, 3, 9, 9), spec);
-        (
-            fwd.output,
-            fwd.cols,
-            grads.dinput,
-            grads.dweight,
-            grads.dbias,
-        )
+        let mut ws = ConvWorkspace::new();
+        let output = conv2d_forward(&x, &w, &bias, spec, true, &mut ws).unwrap();
+        let cols = ws.cols().to_vec();
+        let mut dweight = Tensor::zeros(w.shape().clone());
+        let mut dbias = Tensor::zeros(bias.shape().clone());
+        let dinput = conv2d_backward(&dout, &w, spec, &mut ws, &mut dweight, &mut dbias, true);
+        (output, cols, dinput, dweight, dbias)
     });
 }
 
