@@ -11,11 +11,12 @@
 //! results — the only thing that may change is time.
 //!
 //! Numbers are honest: `hardware_threads` records what the machine
-//! actually offers, every row carries the requested **and** granted
-//! thread counts, and the envelope collects explicit warnings whenever a
-//! sweep point asks for more threads than the host exposes — on such rows
-//! the pool still spawns the requested workers, but they time-share cores
-//! and the speedup is noise, not signal. `scripts/check_speedup.py`
+//! actually offers, `simd` the vector level the kernels were built for,
+//! every row carries the requested **and** granted thread counts, and
+//! the envelope collects explicit warnings whenever a sweep point asks
+//! for more threads than the host exposes — on such rows the pool still
+//! spawns the requested workers, but they time-share cores and the
+//! speedup is noise, not signal. `scripts/check_speedup.py`
 //! consumes these fields to decide whether the ≥2× four-thread gate is
 //! applicable on the current runner.
 //!
@@ -45,6 +46,9 @@ struct Timing {
 #[derive(Serialize)]
 struct SpeedupReport {
     hardware_threads: usize,
+    /// The vector level the timed kernels were built for: `avx2` in the
+    /// default x86-64-v3 build, `sse2` in a portable one.
+    simd: &'static str,
     repeats: usize,
     gemm_dims: Vec<usize>,
     gemm_large_dims: Vec<usize>,
@@ -186,6 +190,11 @@ fn main() {
         9,
         &SpeedupReport {
             hardware_threads,
+            simd: if cfg!(target_feature = "avx2") {
+                "avx2"
+            } else {
+                "sse2"
+            },
             repeats,
             gemm_dims: vec![m, k, n],
             gemm_large_dims: vec![large, large, large],

@@ -14,6 +14,9 @@
 //! * The microkernel keeps an `MR×NR` accumulator array in registers and
 //!   walks `k` ascending; LLVM turns the fixed-bound inner loops into
 //!   plain SIMD mul/add chains (no fast-math, no intrinsics, no unsafe).
+//!   The workspace builds for x86-64-v3 (`.cargo/config.toml`), so each
+//!   accumulator row is one 8-lane AVX2 register fed by a broadcast, a
+//!   multiply and an add; a portable build uses two SSE registers.
 //!
 //! # Determinism
 //!
@@ -24,7 +27,10 @@
 //! order — a fixed association that does not depend on where band,
 //! block or column boundaries fall, or on whether `B` was packed whole or
 //! panel by panel. Results are therefore bitwise identical for every
-//! `STSL_THREADS` value.
+//! `STSL_THREADS` value. They are also identical at every vector width:
+//! each lane is rounded as the scalar operation would round it, and Rust
+//! never fuses `a*b + c` into an FMA. The tests below spell this order
+//! out in scalar loops and compare bit for bit.
 //!
 //! Relative to the scalar reference backend the association *does*
 //! differ (panel partial sums are accumulated in registers before being
@@ -36,7 +42,8 @@ use stsl_parallel::{par_chunks_mut, ChunkPolicy};
 
 /// Rows per microtile (the microkernel's register-block height).
 pub(crate) const MR: usize = 4;
-/// Columns per microtile (two SSE vectors; the accumulator is MR×NR).
+/// Columns per microtile: one AVX2 vector at the x86-64-v3 baseline, two
+/// SSE vectors in a portable build (the accumulator is MR×NR).
 pub(crate) const NR: usize = 8;
 /// k-panel depth: one packed A strip of `MR * KC` floats is 4 KiB.
 const KC: usize = 256;
@@ -573,6 +580,129 @@ mod tests {
         let serial = with_threads(1, run);
         for threads in [2usize, 3, 4, 7] {
             assert_eq!(serial, with_threads(threads, run), "{threads} threads");
+        }
+    }
+
+    /// Storage for a logical `rows × cols` operand held per `layout`,
+    /// filled with full-mantissa values in `[-1, 1)` so that every product
+    /// and partial sum rounds: any change of association moves some bit.
+    fn operand(layout: Layout, rows: usize, cols: usize, seed: u32) -> Vec<f32> {
+        let len = (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| layout.index(rows, cols, r, c)))
+            .max()
+            .map_or(0, |last| last + 1);
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 8) as f32 / (1 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The blocked association spelled out in scalar loops, for rows
+    /// `i0..` of the logical `m×k · k×n` product (`c` holds those rows):
+    /// each element sums its `k` terms in ascending order inside each `KC`
+    /// panel, starting from 0; the panels run in order from panel 0, and
+    /// each ends with `c += alpha · panel_sum`.
+    fn oracle(
+        (a, al): (&[f32], Layout),
+        (b, bl): (&[f32], Layout),
+        c: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+        i0: usize,
+        alpha: f32,
+    ) {
+        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+            for (j, cv) in crow.iter_mut().enumerate() {
+                for k0 in (0..k).step_by(KC) {
+                    let mut panel = 0.0f32;
+                    for kk in k0..(k0 + KC).min(k) {
+                        panel += a[al.index(m, k, i0 + i, kk)] * b[bl.index(k, n, kk, j)];
+                    }
+                    *cv += alpha * panel;
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn blocked_gemms_follow_the_documented_summation_order_bit_for_bit() {
+        use stsl_parallel::with_threads;
+        // m and n are not multiples of MR and NR, m spans two MC blocks,
+        // and k = 600 spans three KC panels (256 + 256 + 88).
+        let (m, k, n) = (67usize, 600usize, 21usize);
+        // Every pairing the crate uses: gemm_into, gemm_at_b, gemm_a_bt;
+        // the conv forward over whole samples and over one sample's
+        // leading columns, the conv dX, the conv dWᵀ. Sample widths 3, 5
+        // and 30 do not divide NR.
+        let pairings = [
+            (Layout::Normal, Layout::Normal),
+            (Layout::Trans, Layout::Normal),
+            (Layout::Normal, Layout::Trans),
+            (Layout::Normal, Layout::Samples(3)),
+            (Layout::Normal, Layout::Samples(30)),
+            (Layout::Trans, Layout::Samples(3)),
+            (Layout::Samples(3), Layout::SamplesT(3)),
+            (Layout::Samples(5), Layout::SamplesT(5)),
+        ];
+        let c0 = operand(Layout::Normal, m, n, 99);
+        let zero = vec![0.0f32; m * n];
+        for threads in [1usize, 3] {
+            with_threads(threads, || {
+                for (p, &(al, bl)) in pairings.iter().enumerate() {
+                    let (a, b) = (
+                        operand(al, m, k, 2 * p as u32 + 1),
+                        operand(bl, k, n, 2 * p as u32 + 2),
+                    );
+                    let want = |i0: usize, c: &[f32], alpha: f32| {
+                        let mut c = c.to_vec();
+                        oracle((&a, al), (&b, bl), &mut c, (m, k, n), i0, alpha);
+                        bits(&c)
+                    };
+                    let label = format!("{al:?} x {bl:?}, {threads} threads");
+                    for alpha in [1.0f32, -1.375] {
+                        let mut got = c0.clone();
+                        gemm_core(&a, al, &b, bl, &mut got, m, k, n, alpha);
+                        assert_eq!(
+                            bits(&got),
+                            want(0, &c0, alpha),
+                            "gemm_core {label}, alpha {alpha}"
+                        );
+                    }
+                    for (i0, rows) in [(0usize, m), (3, 10), (4, 63), (61, 6)] {
+                        let c = &c0[i0 * n..][..rows * n];
+                        let mut got = c.to_vec();
+                        // Stale scratch must not reach the result.
+                        let mut scratch = vec![f32::NAN; gemm_block_scratch(rows, k, n)];
+                        gemm_block(&a, al, &b, bl, &mut got, m, k, n, i0, &mut scratch);
+                        assert_eq!(bits(&got), want(i0, c, 1.0), "gemm_block {label}, i0 {i0}");
+                    }
+                    // The named entry points on their own pairings: gemm_into
+                    // scales and adds into a non-zero C, the others start at 0.
+                    let (got, expected) = match (al, bl) {
+                        (Layout::Normal, Layout::Normal) => {
+                            let mut got = c0.clone();
+                            gemm_into(&a, &b, &mut got, m, k, n, 0.625);
+                            (got, want(0, &c0, 0.625))
+                        }
+                        (Layout::Trans, Layout::Normal) => {
+                            (gemm_at_b(&a, &b, m, k, n), want(0, &zero, 1.0))
+                        }
+                        (Layout::Normal, Layout::Trans) => {
+                            (gemm_a_bt(&a, &b, m, k, n), want(0, &zero, 1.0))
+                        }
+                        _ => continue,
+                    };
+                    assert_eq!(bits(&got), expected, "entry point for {label}");
+                }
+            });
         }
     }
 
