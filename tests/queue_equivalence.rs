@@ -122,6 +122,51 @@ fn long_mixed_script_matches_heap() {
 }
 
 #[test]
+fn fleet_scale_hold_script_matches_heap() {
+    // The hold model at fleet scale: 100,000 pending events, each pop
+    // rescheduled up to 200 ms after it fires, which grows the calendar
+    // to 131,072 buckets. Every 97th reschedule lands behind the clock,
+    // and every 89th 1,000 s or more ahead, many laps beyond the ring, so
+    // the lap scan walks chains that hold entries of future laps. The
+    // final drain runs through all five shrinks down to the smallest
+    // ring. The script tracks its own pending times, so each reschedule
+    // knows when the pop before it fired.
+    const PENDING: usize = 100_000;
+    const HORIZON_US: u64 = 200_000;
+    let mut rng = 1u64;
+    let mut draw = move |bound: u64| {
+        rng = rng
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (rng >> 33) % bound
+    };
+    let mut ops = Vec::with_capacity(5 * PENDING);
+    let mut pending = BinaryHeap::new();
+    let mut clock = 0u64;
+    for _ in 0..PENDING {
+        let at = draw(HORIZON_US);
+        ops.push(QueueOp::Schedule(at));
+        pending.push(Reverse(at));
+    }
+    for step in 0..2 * PENDING {
+        ops.push(QueueOp::Pop);
+        if let Some(Reverse(at)) = pending.pop() {
+            clock = clock.max(at);
+        }
+        let at = if step % 97 == 0 {
+            clock.saturating_sub(1 + draw(HORIZON_US))
+        } else if step % 89 == 0 {
+            clock + 1_000_000_000 + draw(1_000) * 999_983
+        } else {
+            clock + 1 + draw(HORIZON_US)
+        };
+        ops.push(QueueOp::Schedule(at));
+        pending.push(Reverse(at));
+    }
+    assert_eq!(replay_queue(&ops), replay_heap(&ops));
+}
+
+#[test]
 fn same_timestamp_burst_breaks_ties_by_sequence() {
     // 1000 events on one timestamp: pop order must be insertion order
     // (seq is the only tie-break).
